@@ -88,6 +88,16 @@ else
   ./target/release/trace --validate "$smoke_json"
 fi
 
+echo "==> figures drift check (golden figure outputs)"
+# Every table and figure on both sizing profiles must match the committed
+# outputs byte-for-byte. Regenerate with
+# `figures all [--paper] > results/figures_{small,paper}.txt` when a change
+# is intentional.
+./target/release/figures all > "$smoke_dir/figures_small.txt"
+diff -u results/figures_small.txt "$smoke_dir/figures_small.txt"
+./target/release/figures all --paper > "$smoke_dir/figures_paper.txt"
+diff -u results/figures_paper.txt "$smoke_dir/figures_paper.txt"
+
 echo "==> engine differential (tape vs interpreter)"
 # The compiled-tape engine must be unobservable next to the graph-walking
 # interpreter: identical stats, word-for-word identical trace streams, and
