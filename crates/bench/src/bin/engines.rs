@@ -20,16 +20,6 @@ use isrf_core::Word;
 use isrf_sim::ExecEngine;
 use isrf_trace::{TraceEvent, Tracer};
 
-fn parse_config(s: &str) -> ConfigName {
-    ConfigName::ALL
-        .into_iter()
-        .find(|c| format!("{c}").eq_ignore_ascii_case(s))
-        .unwrap_or_else(|| {
-            eprintln!("unknown configuration {s:?} (expected one of Base|ISRF1|ISRF4|Cache)");
-            std::process::exit(2);
-        })
-}
-
 struct Observed {
     stats: RunStats,
     events: Vec<(u64, TraceEvent)>,
@@ -37,7 +27,7 @@ struct Observed {
 }
 
 fn run(app: &str, cfg: ConfigName, engine: ExecEngine) -> Observed {
-    let mut pr = isrf_bench::prepare_app(app, cfg, isrf_bench::Profile::Small);
+    let mut pr = isrf_apps::prepare_app(app, cfg, isrf_apps::Profile::Small);
     pr.machine.set_engine(engine);
     pr.machine.set_tracer(Tracer::recording(1 << 20));
     let stats = pr.machine.run(&pr.program);
@@ -134,7 +124,15 @@ fn main() {
             std::process::exit(2);
         }
         args.chunks(2)
-            .map(|p| (p[0].clone(), parse_config(&p[1])))
+            .map(|p| {
+                (
+                    p[0].clone(),
+                    p[1].parse().unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    }),
+                )
+            })
             .collect()
     };
     let mut all_ok = true;

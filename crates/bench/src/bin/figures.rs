@@ -1,17 +1,22 @@
 //! Regenerate every evaluation figure and table of the paper as text.
 //!
 //! Usage: `figures [all|table3|table4|area|energy|fig11|fig12|fig13|fig14|
-//! fig15|fig16|fig17|fig18|summary] [--paper] [--list]`
+//! fig15|fig16|fig17|fig18|summary|ablations] [--paper] [--list]`
 //!
 //! `--paper` uses the paper's workload sizes (slower); the default uses
 //! reduced sizes with the same shapes. `--list` prints the known targets,
-//! one per line, and exits. The benchmark-driven figures (11, 12, 13,
-//! summary) additionally write machine-readable JSON next to the text
-//! tables, under `results/bench_<fig>.json`.
+//! one per line, and exits. `ablations` prints the design-choice ablations
+//! at the apps' default sizes and is not part of `all`. The
+//! benchmark-driven figures (11, 12, 13, summary) additionally write
+//! machine-readable JSON next to the text tables, under
+//! `results/bench_<fig>.json`.
 
+use isrf_apps::micro::crosslane_throughput_with_topology;
+use isrf_apps::sort::{run_base_bitonic, SortParams};
+use isrf_apps::Profile;
 use isrf_bench as figs;
-use isrf_bench::Profile;
-use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
+use isrf_mem::{AddrPattern, MemorySystem};
 
 fn profile(args: &[String]) -> Profile {
     if args.iter().any(|a| a == "--paper") {
@@ -218,9 +223,57 @@ fn summary(p: Profile) {
     write_json("summary", &figs::summary_json(&rows));
 }
 
-const TARGETS: [&str; 14] = [
-    "all", "table3", "table4", "area", "energy", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "fig18", "summary",
+/// The design-choice ablations DESIGN.md calls out: conditional-stream
+/// merge vs a bitonic network for the Sort baseline, DRAM burst
+/// granularity (the memory-access-scheduling assumption), and the
+/// Section 7 sparse cross-lane interconnect (crossbar vs ring).
+fn ablations() {
+    let params = SortParams::default();
+    let cond = isrf_apps::sort::prepare(ConfigName::Base, &params).run_and_check();
+    let bitonic = run_base_bitonic(ConfigName::Base, &params);
+    println!(
+        "Ablation: Sort baseline mechanism ({} keys per lane)",
+        params.keys_per_lane
+    );
+    println!("  conditional-stream merge: {} cycles", cond.cycles);
+    println!("  bitonic network:          {} cycles", bitonic.cycles);
+    println!("Ablation: DRAM burst granularity (512 scattered word gathers)");
+    for burst in [1u32, 4] {
+        let mut cfg = MachineConfig::preset(ConfigName::Base);
+        cfg.dram.burst_words = burst;
+        let mut sys = MemorySystem::new(&cfg);
+        let addrs: Vec<u32> = (0..512u32).map(|k| (k * 97) % 4096 * 16).collect();
+        let (id, _) = sys.start_read(&AddrPattern::Indexed(addrs), false);
+        while !sys.is_complete(id) {
+            sys.tick();
+        }
+        println!("  burst {burst} words: {} cycles", sys.now());
+    }
+    println!("Ablation: cross-lane interconnect (1 port/bank, no comm)");
+    for topo in [CrossLaneTopology::Crossbar, CrossLaneTopology::Ring] {
+        println!(
+            "  {topo:?}: {:.3} words/cycle/lane",
+            crosslane_throughput_with_topology(1, 0, topo, 3000)
+        );
+    }
+}
+
+const TARGETS: [&str; 15] = [
+    "all",
+    "table3",
+    "table4",
+    "area",
+    "energy",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "summary",
+    "ablations",
 ];
 
 fn main() {
@@ -295,5 +348,8 @@ fn main() {
     }
     if all || what == "summary" {
         summary(p);
+    }
+    if what == "ablations" {
+        ablations();
     }
 }

@@ -13,10 +13,10 @@
 
 use std::process::ExitCode;
 
+use isrf_apps::Profile;
 use isrf_bench::perf::{
     baseline_cycles_per_sec, baseline_entries, perf_basket, perf_json, REGRESSION_BUDGET,
 };
-use isrf_bench::Profile;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

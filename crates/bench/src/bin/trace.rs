@@ -18,7 +18,7 @@
 //! covers the tail of the run). `--timeline` also prints a plain-text
 //! strip chart of cycle attribution and memory activity.
 
-use isrf_bench::{prepare_app, Profile, DIFF_APPS};
+use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_core::config::ConfigName;
 use isrf_trace::{chrome, json, timeline, Tracer};
 
@@ -38,7 +38,7 @@ fn usage() -> ! {
         "usage: trace [app|all] [config|all] [--paper] [--out-dir DIR] \
          [--events N] [--timeline]\n  apps: {}  all\n  configs: base \
          isrf1 isrf4 cache all",
-        DIFF_APPS.join(" ")
+        APPS.join(" ")
     );
     std::process::exit(2);
 }
@@ -77,9 +77,9 @@ fn parse(args: &[String]) -> Options {
         usage();
     }
     opts.apps = if app_sel == "all" {
-        DIFF_APPS.to_vec()
+        APPS.to_vec()
     } else {
-        match DIFF_APPS.iter().find(|&&a| a == app_sel) {
+        match APPS.iter().find(|&&a| a == app_sel) {
             Some(&a) => vec![a],
             None => usage(),
         }
@@ -87,12 +87,9 @@ fn parse(args: &[String]) -> Options {
     opts.configs = if cfg_sel == "all" {
         ConfigName::ALL.to_vec()
     } else {
-        match ConfigName::ALL
-            .iter()
-            .find(|c| c.to_string().eq_ignore_ascii_case(cfg_sel))
-        {
-            Some(&c) => vec![c],
-            None => usage(),
+        match cfg_sel.parse() {
+            Ok(c) => vec![c],
+            Err(_) => usage(),
         }
     };
     opts

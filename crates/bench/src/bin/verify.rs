@@ -29,9 +29,10 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use isrf_bench::{prepare_app, Profile, DIFF_APPS};
+use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_core::config::ConfigName;
 use isrf_sim::ExecEngine;
+use isrf_trace::json::escaped;
 use isrf_verify::{explain, Report, Verifier};
 
 /// The static floor must recover at least this percentage of the simulated
@@ -44,39 +45,23 @@ fn usage() -> ! {
         "usage: verify [app|all] [config|all] [--paper] [--report FILE] [--check FILE] \
          [--cycles] [--explain CODE]\n  apps: {}  all\n  \
          configs: base isrf1 isrf4 cache all",
-        DIFF_APPS.join(" ")
+        APPS.join(" ")
     );
     std::process::exit(2);
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn diag_json(d: &isrf_sim::Diagnostic) -> String {
     let mut s = format!(
         "{{\"code\":\"{}\",\"check\":\"{}\",\"message\":\"{}\"",
-        json_escape(&d.code),
-        json_escape(&d.check),
-        json_escape(&d.message)
+        escaped(&d.code),
+        escaped(&d.check),
+        escaped(&d.message)
     );
     if let Some(op) = d.prog_op {
         let _ = write!(s, ",\"prog_op\":{op}");
     }
     if let Some(k) = &d.kernel {
-        let _ = write!(s, ",\"kernel\":\"{}\"", json_escape(k));
+        let _ = write!(s, ",\"kernel\":\"{}\"", escaped(k));
     }
     if let Some(line) = d.line {
         let _ = write!(s, ",\"line\":{line}");
@@ -106,7 +91,7 @@ fn point_json(app: &str, cfg: ConfigName, report: &Report) -> String {
                 "{{\"name\":\"{}\",\"prog_op\":{},\"iters\":{},\"ii\":{},\"floor\":{},\
                  \"schedule_floor\":{},\"port_floor\":{},\"inlane_pressure_pct\":{},\
                  \"crosslane_pressure_pct\":{}}}",
-                json_escape(&k.name),
+                escaped(&k.name),
                 k.prog_op,
                 k.iters,
                 k.ii,
@@ -199,9 +184,9 @@ fn main() {
     let app_sel = positional.first().copied().unwrap_or("all");
     let cfg_sel = positional.get(1).copied().unwrap_or("all");
     let apps: Vec<&'static str> = if app_sel == "all" {
-        DIFF_APPS.to_vec()
+        APPS.to_vec()
     } else {
-        match DIFF_APPS.iter().find(|&&a| a == app_sel) {
+        match APPS.iter().find(|&&a| a == app_sel) {
             Some(&a) => vec![a],
             None => usage(),
         }
@@ -209,12 +194,9 @@ fn main() {
     let configs: Vec<ConfigName> = if cfg_sel == "all" {
         ConfigName::ALL.to_vec()
     } else {
-        match ConfigName::ALL
-            .iter()
-            .find(|c| c.to_string().eq_ignore_ascii_case(cfg_sel))
-        {
-            Some(&c) => vec![c],
-            None => usage(),
+        match cfg_sel.parse() {
+            Ok(c) => vec![c],
+            Err(_) => usage(),
         }
     };
 

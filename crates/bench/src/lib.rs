@@ -1,86 +1,24 @@
 //! Figure and table regeneration for the HPCA 2004 indexed-SRF paper.
 //!
 //! Every evaluation artifact of the paper has a generator here returning
-//! structured data; the `figures` binary renders them as text tables, and
-//! the Criterion benches time the underlying simulations. See DESIGN.md
-//! for the experiment index and EXPERIMENTS.md for paper-vs-measured
-//! numbers.
+//! structured data and the `figures` binary renders them as text tables.
+//! The benchmarks and their sizes come from [`isrf_apps::registry`], and
+//! every simulated point is checked against its host reference. See
+//! DESIGN.md for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use isrf_apps::common::set_separation_override;
-use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort};
+use isrf_apps::{fft2d, filter, igraph, micro, prepare_app, rijndael, sort, Profile, BENCHMARKS};
 use isrf_check::run_parallel;
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_core::stats::RunStats;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sram::{AreaModel, EnergyModel, SrfGeometry, SrfVariant};
 
 pub mod perf;
-
-/// The application benchmarks of Section 5.2, in the paper's figure order.
-pub const BENCHMARKS: [&str; 8] = [
-    "FFT 2D", "Rijndael", "Sort", "Filter", "IG_SML", "IG_DMS", "IG_DCS", "IG_SCL",
-];
-
-pub use isrf_apps::{prepare_app, Profile};
-
-/// The distinct applications, re-exported from the
-/// [`isrf_apps::registry`] under the name the differential suite and the
-/// trace/verify binaries historically used.
-pub const DIFF_APPS: [&str; 8] = isrf_apps::APPS;
-
-/// Run one named benchmark on one configuration.
-///
-/// # Panics
-///
-/// Panics on an unknown benchmark name or a functional-verification
-/// failure inside the benchmark (they all self-check).
-pub fn run_benchmark(name: &str, cfg: ConfigName, profile: Profile) -> RunStats {
-    let small = profile == Profile::Small;
-    match name {
-        "FFT 2D" => fft2d::run(
-            cfg,
-            &fft2d::Fft2dParams {
-                reps: if small { 1 } else { 2 },
-                ..Default::default()
-            },
-        ),
-        "Rijndael" => rijndael::run(
-            cfg,
-            &rijndael::RijndaelParams {
-                chains_per_lane: if small { 2 } else { 8 },
-                waves: if small { 2 } else { 4 },
-                strips: if small { 2 } else { 4 },
-                ..Default::default()
-            },
-        ),
-        "Sort" => sort::run(
-            cfg,
-            &sort::SortParams {
-                keys_per_lane: if small { 64 } else { 512 },
-                ..Default::default()
-            },
-        ),
-        "Filter" => filter::run(
-            cfg,
-            &filter::FilterParams {
-                rows: if small { 32 } else { 256 },
-                ..Default::default()
-            },
-        ),
-        ig => {
-            let mut ds = igraph::dataset(ig);
-            if small {
-                // Shrink the graph, keeping strip structure intact.
-                ds.nodes /= if ds.degree == 4 { 4 } else { 2 };
-            }
-            igraph::run(cfg, &ds)
-        }
-    }
-}
 
 /// Figure 11: off-chip memory traffic of ISRF and Cache normalized to Base.
 ///
@@ -91,16 +29,18 @@ pub fn fig11(profile: Profile) -> Vec<(String, f64, f64)> {
     const CFGS: [ConfigName; 3] = [ConfigName::Base, ConfigName::Isrf4, ConfigName::Cache];
     let points: Vec<(&str, ConfigName)> = BENCHMARKS
         .iter()
-        .flat_map(|&name| CFGS.iter().map(move |&cfg| (name, cfg)))
+        .flat_map(|&(_, app)| CFGS.iter().map(move |&cfg| (app, cfg)))
         .collect();
-    let stats = run_parallel(&points, |&(name, cfg)| run_benchmark(name, cfg, profile));
+    let stats = run_parallel(&points, |&(app, cfg)| {
+        prepare_app(app, cfg, profile).run_and_check()
+    });
     BENCHMARKS
         .iter()
         .zip(stats.chunks_exact(CFGS.len()))
-        .map(|(&name, s)| {
+        .map(|(&(label, _), s)| {
             let (base, isrf, cache) = (&s[0], &s[1], &s[2]);
             (
-                name.to_string(),
+                label.to_string(),
                 isrf.mem.normalized_to(&base.mem),
                 cache.mem.normalized_to(&base.mem),
             )
@@ -139,11 +79,13 @@ impl Fig12Row {
 pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
     let points: Vec<(&str, ConfigName)> = BENCHMARKS
         .iter()
-        .flat_map(|&name| ConfigName::ALL.iter().map(move |&cfg| (name, cfg)))
+        .flat_map(|&(_, app)| ConfigName::ALL.iter().map(move |&cfg| (app, cfg)))
         .collect();
-    let stats = run_parallel(&points, |&(name, cfg)| run_benchmark(name, cfg, profile));
+    let stats = run_parallel(&points, |&(app, cfg)| {
+        prepare_app(app, cfg, profile).run_and_check()
+    });
     let mut rows = Vec::new();
-    for (group, per_cfg) in BENCHMARKS
+    for (&(label, _), per_cfg) in BENCHMARKS
         .iter()
         .zip(stats.chunks_exact(ConfigName::ALL.len()))
     {
@@ -155,7 +97,7 @@ pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
         for (&cfg, stats) in ConfigName::ALL.iter().zip(per_cfg) {
             let b = stats.breakdown;
             rows.push(Fig12Row {
-                benchmark: group.to_string(),
+                benchmark: label.to_string(),
                 config: cfg,
                 parts: [
                     b.kernel_loop as f64 / d,
@@ -175,10 +117,10 @@ pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
 /// Figure 13: sustained SRF bandwidth demands (words/cycle/lane) per
 /// benchmark on ISRF4, split `[sequential, cross-lane, in-lane]`.
 pub fn fig13(profile: Profile) -> Vec<(String, [f64; 3])> {
-    run_parallel(&BENCHMARKS, |&name| {
-        let s = run_benchmark(name, ConfigName::Isrf4, profile);
+    run_parallel(&BENCHMARKS, |&(label, app)| {
+        let s = prepare_app(app, ConfigName::Isrf4, profile).run_and_check();
         (
-            name.to_string(),
+            label.to_string(),
             s.srf.per_cycle_per_lane(s.main_loop_cycles, 8),
         )
     })
@@ -239,8 +181,9 @@ pub fn fig14() -> Vec<(String, Vec<(u32, f64)>)> {
 /// in-lane separation sweeps, normalized to each benchmark's minimum.
 /// Returns `(benchmark, Vec<(separation, normalized cycles)>)`.
 pub fn fig15(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
+    // FFT 2D, Rijndael, Sort, Filter.
     separation_sweep(
-        &["FFT 2D", "Rijndael", "Sort", "Filter"],
+        &BENCHMARKS[..4],
         &(2..=10u32).step_by(2).collect::<Vec<_>>(),
         |sep| (sep, 20),
         profile,
@@ -250,8 +193,9 @@ pub fn fig15(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
 /// Figure 16: execution time of the cross-lane-indexed benchmarks as the
 /// cross-lane separation sweeps, normalized to each benchmark's minimum.
 pub fn fig16(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
+    // IG_DMS, IG_DCS.
     separation_sweep(
-        &["IG_DMS", "IG_DCS"],
+        &BENCHMARKS[5..7],
         &(4..=28u32).step_by(4).collect::<Vec<_>>(),
         |sep| (6, sep),
         profile,
@@ -263,28 +207,28 @@ pub fn fig16(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
 /// address/data separation override is thread-local, so each worker sets
 /// it just for its point and clears it before returning the stats.
 fn separation_sweep(
-    names: &[&str],
+    benchmarks: &[(&str, &str)],
     seps: &[u32],
     over: impl Fn(u32) -> (u32, u32) + Sync,
     profile: Profile,
 ) -> Vec<(String, Vec<(u32, f64)>)> {
-    let points: Vec<(&str, u32)> = names
+    let points: Vec<(&str, u32)> = benchmarks
         .iter()
-        .flat_map(|&name| seps.iter().map(move |&sep| (name, sep)))
+        .flat_map(|&(_, app)| seps.iter().map(move |&sep| (app, sep)))
         .collect();
-    let cycles = run_parallel(&points, |&(name, sep)| {
+    let cycles = run_parallel(&points, |&(app, sep)| {
         set_separation_override(Some(over(sep)));
-        let s = run_benchmark(name, ConfigName::Isrf4, profile);
+        let s = prepare_app(app, ConfigName::Isrf4, profile).run_and_check();
         set_separation_override(None);
         s.cycles as f64
     });
-    names
+    benchmarks
         .iter()
         .zip(cycles.chunks_exact(seps.len()))
-        .map(|(&name, c)| {
+        .map(|(&(label, _), c)| {
             let min = c.iter().copied().fold(f64::MAX, f64::min);
             (
-                name.to_string(),
+                label.to_string(),
                 seps.iter().zip(c).map(|(&s, &cy)| (s, cy / min)).collect(),
             )
         })
@@ -358,11 +302,11 @@ pub fn energy_table() -> (f64, f64, f64, f64) {
 pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
     let em = EnergyModel::default();
     let geom = SrfGeometry::paper_default();
-    run_parallel(&BENCHMARKS, |&name| {
-        let base = run_benchmark(name, ConfigName::Base, profile);
-        let isrf = run_benchmark(name, ConfigName::Isrf4, profile);
+    run_parallel(&BENCHMARKS, |&(label, app)| {
+        let base = prepare_app(app, ConfigName::Base, profile).run_and_check();
+        let isrf = prepare_app(app, ConfigName::Isrf4, profile).run_and_check();
         (
-            name.to_string(),
+            label.to_string(),
             isrf.speedup_over(&base),
             1.0 - isrf.mem.normalized_to(&base.mem),
             em.run_energy_nj(&geom, &isrf) / em.run_energy_nj(&geom, &base).max(1e-9),

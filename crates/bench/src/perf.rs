@@ -1,5 +1,4 @@
-//! Simulator-throughput basket behind the `perf` binary and the
-//! `machine_hot_loop` / `sweep_throughput` Criterion benches.
+//! Simulator-throughput basket behind the `perf` binary.
 //!
 //! The basket is a fixed workload — every differential app on every
 //! machine configuration, run serially and timed — plus two synthetic
@@ -19,7 +18,9 @@ use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
 
-use crate::{fig12, json_f64, json_str, json_u64, prepare_app, Profile, DIFF_APPS};
+use isrf_apps::{prepare_app, Profile, APPS};
+
+use crate::{fig12, json_f64, json_str, json_u64};
 
 /// The fraction of baseline sim-cycles/sec below which `--check` fails.
 pub const REGRESSION_BUDGET: f64 = 0.75;
@@ -120,7 +121,7 @@ pub fn hot_loop_prepared() -> (Machine, StreamProgram) {
 pub fn perf_basket(profile: Profile, runs: u32) -> PerfReport {
     let runs = runs.max(1);
     let mut entries = Vec::new();
-    for app in DIFF_APPS {
+    for app in APPS {
         for cfg in ConfigName::ALL {
             let mut cycles = 0;
             let mut best = f64::MAX;

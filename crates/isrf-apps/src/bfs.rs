@@ -28,7 +28,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
@@ -285,7 +284,8 @@ const LB_BASE: u32 = 0x8_0000; // level array B
 const PTR_BASE: u32 = 0x10_0000; // padded condensed pointers, strip-major
 
 /// Set up the machine and build the full multi-sweep program without
-/// running it.
+/// running it. The attached check verifies the final level array
+/// word-for-word against the host Jacobi.
 ///
 /// # Panics
 ///
@@ -425,26 +425,14 @@ pub fn prepare(cfg: ConfigName, params: &BfsParams) -> crate::common::Prepared {
     } else {
         LA_BASE
     };
-    crate::common::Prepared::new(m, p, vec![(final_base, n)])
-}
-
-/// Run the BFS on `cfg`; the final level array is verified word-for-word
-/// against the host Jacobi.
-///
-/// # Panics
-///
-/// Panics if the simulated distances differ from the host reference.
-pub fn run(cfg: ConfigName, params: &BfsParams) -> RunStats {
-    let plan = plan_cached(params);
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    let expect = reference(&plan.adj, plan.sweeps);
-    let base = pr.outputs[0].0;
-    for (v, &e) in expect.iter().enumerate() {
-        let got = pr.machine.mem().memory().read(base + v as u32);
-        assert_eq!(got, e, "node {v}: got {got}, want {e}");
-    }
-    stats
+    crate::common::Prepared::new(m, p, vec![(final_base, n)]).with_check(move |m| {
+        // The final level array must equal the host Jacobi word for word.
+        let expect = reference(&plan.adj, plan.sweeps);
+        for (v, &e) in expect.iter().enumerate() {
+            let got = m.mem().memory().read(final_base + v as u32);
+            assert_eq!(got, e, "node {v}: got {got}, want {e}");
+        }
+    })
 }
 
 #[cfg(test)]
@@ -474,17 +462,17 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &small());
+        prepare(ConfigName::Cache, &small()).run_and_check();
     }
 
     #[test]
@@ -506,8 +494,8 @@ mod tests {
 
     #[test]
     fn isrf_reduces_traffic_via_deduplication() {
-        let base = run(ConfigName::Base, &small());
-        let isrf = run(ConfigName::Isrf4, &small());
+        let base = prepare(ConfigName::Base, &small()).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &small()).run_and_check();
         let ratio = isrf.mem.normalized_to(&base.mem);
         assert!(ratio < 0.95, "traffic ratio {ratio:.3}");
         assert!(isrf.srf.crosslane_words > 0, "gathers are cross-lane");

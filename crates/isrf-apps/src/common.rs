@@ -4,6 +4,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::stats::RunStats;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule_cached, SchedParams, Schedule};
 use isrf_mem::AddrPattern;
@@ -47,7 +48,10 @@ pub fn machine(cfg: ConfigName) -> Machine {
 /// program. `machine.run(&program)` produces the benchmark's stats; the
 /// split exists so a differential harness can execute the same program on
 /// an independent functional reference executor and compare outcomes.
-#[derive(Debug)]
+///
+/// The app's host-reference check travels with it and is evaluated only
+/// when [`Prepared::check`] is called, so preparing costs no reference
+/// work.
 pub struct Prepared {
     /// The machine, ready to run the measured program.
     pub machine: Machine,
@@ -56,6 +60,19 @@ pub struct Prepared {
     /// Memory regions `(base, words)` holding the benchmark's final
     /// output, for word-level result diffing.
     pub outputs: Vec<(u32, u32)>,
+    /// Panics if the machine's final state diverges from the app's host
+    /// reference.
+    check: Box<dyn Fn(&Machine) + Send>,
+}
+
+impl std::fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prepared")
+            .field("machine", &self.machine)
+            .field("program", &self.program)
+            .field("outputs", &self.outputs)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Prepared {
@@ -65,6 +82,9 @@ impl Prepared {
     /// counts — it just keeps the one-time backing-store grow (a
     /// multi-megabyte zeroed `realloc` for apps with high output bases)
     /// out of the measured `Machine::run` call.
+    ///
+    /// The result carries no host-reference check until one is attached
+    /// with [`Prepared::with_check`].
     pub fn new(mut machine: Machine, program: StreamProgram, outputs: Vec<(u32, u32)>) -> Prepared {
         for &(base, words) in &outputs {
             if words > 0 {
@@ -77,7 +97,36 @@ impl Prepared {
             machine,
             program,
             outputs,
+            check: Box::new(|_| {}),
         }
+    }
+
+    /// Attach the app's host-reference check.
+    pub fn with_check(mut self, check: impl Fn(&Machine) + Send + 'static) -> Prepared {
+        self.check = Box::new(check);
+        self
+    }
+
+    /// Check the machine's current state against the host reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the results diverge from the reference (call after the
+    /// measured program has run).
+    pub fn check(&self) {
+        (self.check)(&self.machine)
+    }
+
+    /// Run the measured program, then [`check`](Prepared::check) the
+    /// results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the results diverge from the host reference.
+    pub fn run_and_check(&mut self) -> RunStats {
+        let stats = self.machine.run(&self.program);
+        self.check();
+        stats
     }
 }
 

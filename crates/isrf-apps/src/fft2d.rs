@@ -24,7 +24,6 @@ use std::f32::consts::PI;
 use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::{from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
@@ -537,7 +536,7 @@ fn seq_kernels(m: &Machine) -> SeqKernels {
     SeqKernels { high, low }
 }
 
-fn verify(m: &Machine, params: &Fft2dParams) {
+fn verify(m: &Machine) {
     let input: Vec<(f32, f32)> = (0..ELEMS as usize)
         .map(|e| {
             (
@@ -551,7 +550,6 @@ fn verify(m: &Machine, params: &Fft2dParams) {
         .iter()
         .map(|c| c.0.abs().max(c.1.abs()))
         .fold(1.0f32, f32::max);
-    let _ = params;
     for (e, &(er, ei)) in expect.iter().enumerate() {
         let gr = f32::from_bits(m.mem().memory().read(OUT_BASE + 2 * e as u32));
         let gi = f32::from_bits(m.mem().memory().read(OUT_BASE + 2 * e as u32 + 1));
@@ -678,24 +676,14 @@ fn prepare_isrf(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepare
 }
 
 /// Set up the machine (input, twiddles, un-measured setup program) and
-/// build the measured program without running it.
+/// build the measured program without running it. The attached check
+/// verifies the result against the reference DFT.
 pub fn prepare(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepared {
     match cfg {
         ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
         ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
     }
-}
-
-/// Run the benchmark; results are verified against the reference DFT.
-///
-/// # Panics
-///
-/// Panics if the simulated result diverges from the reference DFT.
-pub fn run(cfg: ConfigName, params: &Fft2dParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params);
-    stats
+    .with_check(verify)
 }
 
 #[cfg(test)]
@@ -758,24 +746,24 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &Fft2dParams { reps: 1, seed: 3 });
+        prepare(ConfigName::Base, &Fft2dParams { reps: 1, seed: 3 }).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &Fft2dParams { reps: 1, seed: 3 });
+        prepare(ConfigName::Isrf4, &Fft2dParams { reps: 1, seed: 3 }).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &Fft2dParams { reps: 1, seed: 3 });
+        prepare(ConfigName::Cache, &Fft2dParams { reps: 1, seed: 3 }).run_and_check();
     }
 
     #[test]
     fn isrf1_functional_and_slower_than_isrf4() {
         let p = Fft2dParams { reps: 1, seed: 3 };
-        let one = run(ConfigName::Isrf1, &p);
-        let four = run(ConfigName::Isrf4, &p);
+        let one = prepare(ConfigName::Isrf1, &p).run_and_check();
+        let four = prepare(ConfigName::Isrf4, &p).run_and_check();
         // The indexed FFT stages use several indexed streams, so ISRF1's
         // single indexed word per cycle per lane costs SRF stalls.
         assert!(one.cycles >= four.cycles);
@@ -785,8 +773,8 @@ mod tests {
     #[test]
     fn isrf_beats_base_with_less_traffic() {
         let params = Fft2dParams { reps: 2, seed: 5 };
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         let speedup = isrf.speedup_over(&base);
         assert!(speedup > 1.3, "speedup {speedup:.2} (paper: 2.24x)");
         let ratio = isrf.mem.normalized_to(&base.mem);

@@ -22,7 +22,6 @@
 use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
@@ -253,6 +252,7 @@ fn verify(m: &Machine, rows: u32) {
 }
 
 /// Set up the machine and build the measured program without running it.
+/// The attached check verifies the output against direct convolution.
 ///
 /// # Panics
 ///
@@ -310,20 +310,9 @@ pub fn prepare(cfg: ConfigName, params: &FilterParams) -> crate::common::Prepare
         let st = p.store(window, strip_store_pattern(row0, first_j, js), false, &[k]);
         prev = Some(st);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, params.rows * COLS)])
-}
-
-/// Run the benchmark on `cfg`; verified against direct convolution.
-///
-/// # Panics
-///
-/// Panics if `params.rows` is not a positive multiple of the strip height,
-/// or the simulated result diverges from the reference convolution.
-pub fn run(cfg: ConfigName, params: &FilterParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params.rows);
-    stats
+    let rows = params.rows;
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, rows * COLS)])
+        .with_check(move |m| verify(m, rows))
 }
 
 #[cfg(test)]
@@ -344,19 +333,19 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_shortens_kernel_loop_with_equal_traffic() {
         let params = small();
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         let speedup = isrf.speedup_over(&base);
         assert!(
             speedup > 1.02 && speedup < 2.0,
@@ -380,8 +369,8 @@ mod tests {
         // Filter uses multiple indexed streams, so ISRF1's single indexed
         // word per cycle per lane is a real bottleneck (Figure 12).
         let params = small();
-        let isrf1 = run(ConfigName::Isrf1, &params);
-        let isrf4 = run(ConfigName::Isrf4, &params);
+        let isrf1 = prepare(ConfigName::Isrf1, &params).run_and_check();
+        let isrf4 = prepare(ConfigName::Isrf4, &params).run_and_check();
         assert!(
             isrf1.breakdown.srf_stall > isrf4.breakdown.srf_stall,
             "ISRF1 stalls {} vs ISRF4 {}",

@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
@@ -368,7 +367,8 @@ const OUT_BASE: u32 = 0x40_0000; // updated records
 const UNIQ_PTR_BASE: u32 = 0x60_0000; // per-strip condensed pointers
 
 /// Set up the machine (graph image, host preprocessing) and build the
-/// measured program without running it.
+/// measured program without running it. The attached check verifies one
+/// sweep against the host reference.
 ///
 /// # Panics
 ///
@@ -505,32 +505,21 @@ pub fn prepare(cfg: ConfigName, ds: &IgDataset) -> crate::common::Prepared {
         prev_kernel = Some(k);
         buf_free[pick] = Some(st);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)])
-}
-
-/// Run one sweep of the dataset on `cfg`; verified against the reference.
-///
-/// # Panics
-///
-/// Panics if strips don't tile the graph, or the simulated sweep diverges
-/// from the host reference.
-pub fn run(cfg: ConfigName, ds: &IgDataset) -> RunStats {
-    let mut pr = prepare(cfg, ds);
-    let stats = pr.machine.run(&pr.program);
-
-    // Verify against the reference sweep (identical f32 op order). The
-    // graph and reference are deterministic in the dataset, so both come
-    // from the per-dataset caches.
-    let expect = reference_cached(ds);
-    for (i, &(e0, e1)) in expect.iter().enumerate() {
-        let g0 = as_f32(pr.machine.mem().memory().read(OUT_BASE + 2 * i as u32));
-        let g1 = as_f32(pr.machine.mem().memory().read(OUT_BASE + 2 * i as u32 + 1));
-        assert!(
-            (g0 - e0).abs() <= 1e-4 * e0.abs().max(1.0) && g1 == e1,
-            "node {i}: got ({g0}, {g1}), want ({e0}, {e1})"
-        );
-    }
-    stats
+    let ds = *ds;
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)]).with_check(move |m| {
+        // Verify against the reference sweep (identical f32 op order). The
+        // graph and reference are deterministic in the dataset, so both
+        // come from the per-dataset caches.
+        let expect = reference_cached(&ds);
+        for (i, &(e0, e1)) in expect.iter().enumerate() {
+            let g0 = as_f32(m.mem().memory().read(OUT_BASE + 2 * i as u32));
+            let g1 = as_f32(m.mem().memory().read(OUT_BASE + 2 * i as u32 + 1));
+            assert!(
+                (g0 - e0).abs() <= 1e-4 * e0.abs().max(1.0) && g1 == e1,
+                "node {i}: got ({g0}, {g1}), want ({e0}, {e1})"
+            );
+        }
+    })
 }
 
 #[cfg(test)]
@@ -561,17 +550,17 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &tiny());
+        prepare(ConfigName::Base, &tiny()).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &tiny());
+        prepare(ConfigName::Isrf4, &tiny()).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &tiny());
+        prepare(ConfigName::Cache, &tiny()).run_and_check();
     }
 
     #[test]
@@ -580,16 +569,16 @@ mod tests {
         // knob that separates ISRF1 from ISRF4 is irrelevant (Figure 12
         // shows them identical for the IG benchmarks).
         let ds = tiny();
-        let one = run(ConfigName::Isrf1, &ds);
-        let four = run(ConfigName::Isrf4, &ds);
+        let one = prepare(ConfigName::Isrf1, &ds).run_and_check();
+        let four = prepare(ConfigName::Isrf4, &ds).run_and_check();
         assert_eq!(one.cycles, four.cycles);
     }
 
     #[test]
     fn isrf_reduces_traffic_via_deduplication() {
         let ds = tiny();
-        let base = run(ConfigName::Base, &ds);
-        let isrf = run(ConfigName::Isrf4, &ds);
+        let base = prepare(ConfigName::Base, &ds).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &ds).run_and_check();
         let ratio = isrf.mem.normalized_to(&base.mem);
         assert!(ratio < 0.85, "traffic ratio {ratio:.3} (paper: ~0.5)");
         assert!(isrf.srf.crosslane_words > 0, "accesses are cross-lane");

@@ -23,4 +23,4 @@ pub mod sort;
 pub mod spmv;
 pub mod stencil;
 
-pub use registry::{prepare_app, Profile, APPS};
+pub use registry::{prepare_app, Profile, APPS, BENCHMARKS};

@@ -11,11 +11,11 @@ use isrf_core::config::ConfigName;
 use crate::common::Prepared;
 use crate::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
 
-/// Benchmark sizing profile: `Small` keeps unit tests and Criterion quick;
+/// Benchmark sizing profile: `Small` keeps unit tests and CI quick;
 /// `Paper` uses the paper's workload sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Reduced sizes for CI and Criterion.
+    /// Reduced sizes for unit tests and CI.
     Small,
     /// The paper's workload sizes.
     Paper,
@@ -28,12 +28,31 @@ pub const APPS: [&str; 8] = [
     "fft2d", "rijndael", "sort", "filter", "igraph", "spmv", "stencil", "bfs",
 ];
 
+/// The application benchmarks of Section 5.2 in the paper's figure order,
+/// as `(label, app)`: the label the figures print and the name
+/// [`prepare_app`] builds it from. The four IG datasets share the
+/// `igraph` program family and are named by dataset.
+pub const BENCHMARKS: [(&str, &str); 8] = [
+    ("FFT 2D", "fft2d"),
+    ("Rijndael", "rijndael"),
+    ("Sort", "sort"),
+    ("Filter", "filter"),
+    ("IG_SML", "IG_SML"),
+    ("IG_DMS", "IG_DMS"),
+    ("IG_DCS", "IG_DCS"),
+    ("IG_SCL", "IG_SCL"),
+];
+
 /// Build a ready-to-run machine + program + expected outputs for one app,
-/// without running it — the caller installs tracers, runs, and inspects.
+/// without running it — the caller installs tracers, runs, and inspects,
+/// or calls [`Prepared::run_and_check`] to run against the host reference.
+///
+/// `app` is one of [`APPS`] or an IG dataset name (`IG_SML`, `IG_DMS`,
+/// `IG_DCS`, `IG_SCL`); `igraph` is `IG_SML`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown app name (use [`APPS`]).
+/// Panics on an unknown app name.
 pub fn prepare_app(app: &str, cfg: ConfigName, profile: Profile) -> Prepared {
     let small = profile == Profile::Small;
     match app {
@@ -67,10 +86,11 @@ pub fn prepare_app(app: &str, cfg: ConfigName, profile: Profile) -> Prepared {
                 ..Default::default()
             },
         ),
-        "igraph" => {
-            let mut ds = igraph::dataset("IG_SML");
+        "igraph" | "IG_SML" | "IG_DMS" | "IG_DCS" | "IG_SCL" => {
+            let mut ds = igraph::dataset(if app == "igraph" { "IG_SML" } else { app });
             if small {
-                ds.nodes /= 4;
+                // Shrink the graph, keeping strip structure intact.
+                ds.nodes /= if ds.degree == 4 { 4 } else { 2 };
             }
             igraph::prepare(cfg, &ds)
         }
@@ -100,7 +120,7 @@ pub fn prepare_app(app: &str, cfg: ConfigName, profile: Profile) -> Prepared {
                 ..Default::default()
             },
         ),
-        other => panic!("unknown app {other}; expected one of {APPS:?}"),
+        other => panic!("unknown app {other}; expected one of {APPS:?} or an IG dataset"),
     }
 }
 
@@ -113,6 +133,14 @@ mod tests {
         for app in APPS {
             let pr = prepare_app(app, ConfigName::Base, Profile::Small);
             assert!(!pr.program.is_empty(), "{app} builds a program");
+        }
+    }
+
+    #[test]
+    fn every_paper_benchmark_prepares() {
+        for (label, app) in BENCHMARKS {
+            let pr = prepare_app(app, ConfigName::Isrf4, Profile::Small);
+            assert!(!pr.program.is_empty(), "{label} builds a program");
         }
     }
 }

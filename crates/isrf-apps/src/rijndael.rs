@@ -25,7 +25,6 @@
 use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, Operand, StreamKind, StreamSlot, ValueId};
 use isrf_mem::AddrPattern;
@@ -579,25 +578,15 @@ fn prepare_base(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prep
 }
 
 /// Set up the machine (tables, plaintext, any un-measured setup) and build
-/// the measured program without running it.
+/// the measured program without running it. The attached check verifies
+/// the ciphertext against the FIPS-checked reference cipher.
 pub fn prepare(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prepared {
+    let params = *params;
     match cfg {
-        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
-        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
+        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, &params),
+        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, &params),
     }
-}
-
-/// Run the benchmark on `cfg`; the result is functionally verified against
-/// the FIPS-checked reference before returning.
-///
-/// # Panics
-///
-/// Panics if the simulated ciphertext diverges from the reference cipher.
-pub fn run(cfg: ConfigName, params: &RijndaelParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params, &layout());
-    stats
+    .with_check(move |m| verify(m, &params, &layout()))
 }
 
 #[cfg(test)]
@@ -623,29 +612,29 @@ mod tests {
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &small());
+        prepare(ConfigName::Cache, &small()).run_and_check();
     }
 
     #[test]
     fn isrf1_functional() {
-        run(ConfigName::Isrf1, &small());
+        prepare(ConfigName::Isrf1, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_beats_base_and_slashes_traffic() {
         let params = small();
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         // Paper: 4.11x speedup, ~95% traffic reduction (Figures 11/12).
         assert!(
             isrf.speedup_over(&base) > 2.0,
@@ -659,9 +648,9 @@ mod tests {
     #[test]
     fn cache_captures_lookups_but_loses_to_isrf() {
         let params = small();
-        let base = run(ConfigName::Base, &params);
-        let cache = run(ConfigName::Cache, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let cache = prepare(ConfigName::Cache, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         // Cache eliminates most off-chip lookup traffic...
         assert!(cache.mem.normalized_to(&base.mem) < 0.5);
         // ...and beats Base, but ISRF4 beats Cache (Figure 12).

@@ -381,7 +381,8 @@ pub fn run_base_bitonic(cfg: ConfigName, params: &SortParams) -> RunStats {
 }
 
 /// Set up the machine (key layout) and build the measured program without
-/// running it.
+/// running it. The attached check verifies output sortedness and
+/// permutation.
 ///
 /// # Panics
 ///
@@ -391,22 +392,12 @@ pub fn prepare(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared 
         params.keys_per_lane.is_power_of_two() && params.keys_per_lane >= 2,
         "keys_per_lane must be a power of two"
     );
+    let params = *params;
     match cfg {
-        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
-        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
+        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, &params),
+        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, &params),
     }
-}
-
-/// Run the benchmark; output sortedness and permutation are verified.
-///
-/// # Panics
-///
-/// Panics on invalid sizing or if the output fails verification.
-pub fn run(cfg: ConfigName, params: &SortParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params);
-    stats
+    .with_check(move |m| verify(m, &params))
 }
 
 /// The Sort1 kernel used by the parameter studies (Figures 13–15): a
@@ -444,19 +435,19 @@ mod tests {
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_wins_via_shorter_kernel_time() {
         let params = small();
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         let speedup = isrf.speedup_over(&base);
         assert!(
             speedup > 1.1,

@@ -30,7 +30,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::{from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
@@ -447,35 +446,23 @@ pub fn prepare_csr(
 }
 
 /// Set up the machine (generated matrix) and build the measured program
-/// without running it.
+/// without running it. The attached check verifies `y = A * x`
+/// bit-for-bit against the padded host reference.
 pub fn prepare(cfg: ConfigName, params: &SpmvParams) -> crate::common::Prepared {
     let data = generate_cached(params);
-    prepare_csr(cfg, &data.0, &data.1, params.strip_rows)
-}
-
-/// Run `y = A * x` on `cfg`; verified bit-for-bit against the padded
-/// host reference.
-///
-/// # Panics
-///
-/// Panics if the simulated result differs from the host reference in any
-/// bit.
-pub fn run(cfg: ConfigName, params: &SpmvParams) -> RunStats {
-    let data = generate_cached(params);
-    let (csr, x) = (&data.0, &data.1);
-    let mut pr = prepare_csr(cfg, csr, x, params.strip_rows);
-    let stats = pr.machine.run(&pr.program);
-    let expect = reference(csr, x, pad_of(csr));
-    for (i, &e) in expect.iter().enumerate() {
-        let got = pr.machine.mem().memory().read(Y_BASE + i as u32);
-        assert_eq!(
-            got,
-            from_f32(e),
-            "row {i}: got {:?}, want {e:?} (bit-exact mirror)",
-            isrf_core::word::as_f32(got)
-        );
-    }
-    stats
+    prepare_csr(cfg, &data.0, &data.1, params.strip_rows).with_check(move |m| {
+        let (csr, x) = (&data.0, &data.1);
+        let expect = reference(csr, x, pad_of(csr));
+        for (i, &e) in expect.iter().enumerate() {
+            let got = m.mem().memory().read(Y_BASE + i as u32);
+            assert_eq!(
+                got,
+                from_f32(e),
+                "row {i}: got {:?}, want {e:?} (bit-exact mirror)",
+                isrf_core::word::as_f32(got)
+            );
+        }
+    })
 }
 
 #[cfg(test)]
@@ -503,22 +490,22 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &small());
+        prepare(ConfigName::Cache, &small()).run_and_check();
     }
 
     #[test]
     fn isrf1_functional() {
-        run(ConfigName::Isrf1, &small());
+        prepare(ConfigName::Isrf1, &small()).run_and_check();
     }
 
     #[test]
@@ -545,8 +532,8 @@ mod tests {
             empty_pct: 0,
             ..small()
         };
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         let ratio = isrf.mem.normalized_to(&base.mem);
         assert!(ratio < 0.9, "traffic ratio {ratio:.3}");
         assert!(isrf.srf.crosslane_words > 0, "gathers are cross-lane");

@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
 use isrf_core::word::{from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_kernel::sched::Schedule;
@@ -334,14 +333,20 @@ fn emit_pass(
     stores
 }
 
-fn lay_out_grid(m: &mut Machine, params: &StencilParams) -> Vec<f32> {
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-    let grid: Vec<f32> = (0..params.rows * COLS)
+/// The seeded input grid, `rows × COLS` values in `[0, 1)`.
+fn input_grid(rows: u32, seed: u64) -> Vec<f32> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..rows * COLS)
         .map(|_| rng.gen_range(0.0f32..1.0))
+        .collect()
+}
+
+fn lay_out_grid(m: &mut Machine, params: &StencilParams) {
+    let words: Vec<Word> = input_grid(params.rows, params.seed)
+        .iter()
+        .map(|&v| from_f32(v))
         .collect();
-    let words: Vec<Word> = grid.iter().map(|&v| from_f32(v)).collect();
     m.mem_mut().memory_mut().write_block(IN_BASE, &words);
-    grid
 }
 
 fn check_rows(params: &StencilParams) {
@@ -352,7 +357,9 @@ fn check_rows(params: &StencilParams) {
 }
 
 /// Set up the machine and build the full two-pass suite (5-point on the
-/// input grid, 9-point on its output) without running it.
+/// input grid, 9-point on its output) without running it. The attached
+/// check verifies both pass outputs bit-for-bit against the mirrored host
+/// reference.
 ///
 /// # Panics
 ///
@@ -393,7 +400,23 @@ pub fn prepare(cfg: ConfigName, params: &StencilParams) -> crate::common::Prepar
     emit_pass(
         &mut p, indexed, rows, 9, &k9, &s9, &streams, MID_BASE, OUT_BASE, &pass1,
     );
+    let seed = params.seed;
     crate::common::Prepared::new(m, p, vec![(MID_BASE, rows * COLS), (OUT_BASE, rows * COLS)])
+        .with_check(move |m| {
+            let mid = reference(&input_grid(rows, seed), rows, 5);
+            let out = reference(&mid, rows, 9);
+            for (base, expect) in [(MID_BASE, &mid), (OUT_BASE, &out)] {
+                for (i, &e) in expect.iter().enumerate() {
+                    let got = m.mem().memory().read(base + i as u32);
+                    assert_eq!(
+                        got,
+                        from_f32(e),
+                        "word {i} at {base:#x}: got {:?}, want {e:?} (bit-exact mirror)",
+                        isrf_core::word::as_f32(got)
+                    );
+                }
+            }
+        })
 }
 
 /// Set up a single pass (5- or 9-point, input grid → `OUT_BASE`) — the
@@ -435,39 +458,6 @@ pub fn prepare_pass(
     crate::common::Prepared::new(m, p, vec![(OUT_BASE, params.rows * COLS)])
 }
 
-/// Run the two-pass suite on `cfg`; both pass outputs are verified
-/// bit-for-bit against the mirrored host reference.
-///
-/// # Panics
-///
-/// Panics if either pass differs from the host reference in any bit.
-pub fn run(cfg: ConfigName, params: &StencilParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-
-    let rows = params.rows;
-    let grid: Vec<f32> = {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        (0..rows * COLS)
-            .map(|_| rng.gen_range(0.0f32..1.0))
-            .collect()
-    };
-    let mid = reference(&grid, rows, 5);
-    let out = reference(&mid, rows, 9);
-    for (base, expect) in [(MID_BASE, &mid), (OUT_BASE, &out)] {
-        for (i, &e) in expect.iter().enumerate() {
-            let got = pr.machine.mem().memory().read(base + i as u32);
-            assert_eq!(
-                got,
-                from_f32(e),
-                "word {i} at {base:#x}: got {:?}, want {e:?} (bit-exact mirror)",
-                isrf_core::word::as_f32(got)
-            );
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,17 +478,17 @@ mod tests {
 
     #[test]
     fn base_functional() {
-        run(ConfigName::Base, &small());
+        prepare(ConfigName::Base, &small()).run_and_check();
     }
 
     #[test]
     fn isrf_functional() {
-        run(ConfigName::Isrf4, &small());
+        prepare(ConfigName::Isrf4, &small()).run_and_check();
     }
 
     #[test]
     fn cache_functional() {
-        run(ConfigName::Cache, &small());
+        prepare(ConfigName::Cache, &small()).run_and_check();
     }
 
     #[test]
@@ -507,12 +497,7 @@ mod tests {
             let params = small();
             let mut pr = prepare_pass(ConfigName::Isrf4, &params, points);
             pr.machine.run(&pr.program);
-            let grid: Vec<f32> = {
-                let mut rng = SmallRng::seed_from_u64(params.seed);
-                (0..params.rows * COLS)
-                    .map(|_| rng.gen_range(0.0f32..1.0))
-                    .collect()
-            };
+            let grid = input_grid(params.rows, params.seed);
             let expect = reference(&grid, params.rows, points);
             for (i, &e) in expect.iter().enumerate() {
                 assert_eq!(
@@ -528,8 +513,8 @@ mod tests {
         // Base streams a shifted grid copy per tap; ISRF loads each word
         // once per pass (plus the halo). 14 taps of traffic vs ~2 passes.
         let params = small();
-        let base = run(ConfigName::Base, &params);
-        let isrf = run(ConfigName::Isrf4, &params);
+        let base = prepare(ConfigName::Base, &params).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, &params).run_and_check();
         let ratio = isrf.mem.normalized_to(&base.mem);
         assert!(ratio < 0.5, "traffic ratio {ratio:.3}");
         assert!(isrf.srf.inlane_words > 0, "taps are in-lane indexed reads");

@@ -60,6 +60,30 @@ impl fmt::Display for ConfigName {
     }
 }
 
+impl std::str::FromStr for ConfigName {
+    type Err = ParseConfigNameError;
+
+    /// Parse a configuration by its display name, ignoring ASCII case.
+    fn from_str(s: &str) -> Result<ConfigName, ParseConfigNameError> {
+        ConfigName::ALL
+            .into_iter()
+            .find(|c| c.to_string().eq_ignore_ascii_case(s))
+            .ok_or_else(|| ParseConfigNameError(s.to_string()))
+    }
+}
+
+/// Error returned when a string names none of the four configurations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseConfigNameError(String);
+
+impl fmt::Display for ParseConfigNameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown config {:?} (Base|ISRF1|ISRF4|Cache)", self.0)
+    }
+}
+
+impl std::error::Error for ParseConfigNameError {}
+
 /// Error returned when a [`MachineConfig`] is internally inconsistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -512,6 +536,19 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_names_parse_case_insensitively() {
+        for name in ConfigName::ALL {
+            assert_eq!(name.to_string().parse(), Ok(name));
+            assert_eq!(name.to_string().to_lowercase().parse(), Ok(name));
+        }
+        let err = "isrf2".parse::<ConfigName>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown config \"isrf2\" (Base|ISRF1|ISRF4|Cache)"
+        );
+    }
 
     #[test]
     fn presets_match_table3() {

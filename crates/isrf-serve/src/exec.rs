@@ -174,6 +174,7 @@ impl PointRunner {
                     machine,
                     program,
                     outputs,
+                    ..
                 } = prepare_app(name, spec.config, spec.profile);
                 Ok(PointRunner {
                     machine,

@@ -120,10 +120,7 @@ fn parse_config(v: Option<&Json>) -> Result<ConfigName, String> {
         None => Ok(ConfigName::Base),
         Some(j) => {
             let s = j.as_str().ok_or("\"config\" must be a string")?;
-            ConfigName::ALL
-                .into_iter()
-                .find(|c| format!("{c}").eq_ignore_ascii_case(s))
-                .ok_or_else(|| format!("unknown config {s:?} (Base|ISRF1|ISRF4|Cache)"))
+            s.parse::<ConfigName>().map_err(|e| e.to_string())
         }
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example aes_encrypt
 //! ```
 
-use isrf::apps::rijndael::{run, RijndaelParams};
+use isrf::apps::rijndael::{prepare, RijndaelParams};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -21,12 +21,12 @@ fn main() {
         "{:<8} {:>10} {:>10} {:>12} {:>10}",
         "config", "cycles", "speedup", "DRAM bytes", "MB/s@1GHz"
     );
-    let base = run(ConfigName::Base, &params);
+    let base = prepare(ConfigName::Base, &params).run_and_check();
     for cfg in ConfigName::ALL {
         let s = if cfg == ConfigName::Base {
             base
         } else {
-            run(cfg, &params)
+            prepare(cfg, &params).run_and_check()
         };
         let bytes_in = params.total_blocks() as f64 * 16.0;
         let rate = bytes_in / s.cycles as f64 * 1e9 / 1e6;

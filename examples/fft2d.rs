@@ -8,7 +8,7 @@
 //! cargo run --release --example fft2d
 //! ```
 
-use isrf::apps::fft2d::{run, Fft2dParams};
+use isrf::apps::fft2d::{prepare, Fft2dParams};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -18,12 +18,12 @@ fn main() {
         "{:<8} {:>10} {:>9} {:>12} {:>13}",
         "config", "cycles", "speedup", "DRAM bytes", "idx SRF words"
     );
-    let base = run(ConfigName::Base, &params);
+    let base = prepare(ConfigName::Base, &params).run_and_check();
     for cfg in ConfigName::ALL {
         let s = if cfg == ConfigName::Base {
             base
         } else {
-            run(cfg, &params)
+            prepare(cfg, &params).run_and_check()
         };
         println!(
             "{:<8} {:>10} {:>8.2}x {:>12} {:>13}",

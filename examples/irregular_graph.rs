@@ -7,7 +7,7 @@
 //! cargo run --release --example irregular_graph
 //! ```
 
-use isrf::apps::igraph::{run, DATASETS};
+use isrf::apps::igraph::{prepare, DATASETS};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
         "dataset", "FP/nbr", "degree", "Base cyc", "ISRF4 cyc", "speedup", "traffic ratio"
     );
     for ds in &DATASETS {
-        let base = run(ConfigName::Base, ds);
-        let isrf = run(ConfigName::Isrf4, ds);
+        let base = prepare(ConfigName::Base, ds).run_and_check();
+        let isrf = prepare(ConfigName::Isrf4, ds).run_and_check();
         println!(
             "{:<8} {:>7} {:>7} {:>11} {:>11} {:>8.2}x {:>13.3}",
             ds.name,

@@ -1,7 +1,8 @@
 //! Tier-1 differential suite: every application on every machine
 //! configuration, checked word-for-word against the timing-free reference
-//! executor, plus sweep-level invariants (determinism across reruns,
-//! parallel/serial identity, Isrf1-vs-Isrf4 functional equivalence).
+//! executor and against the app's host reference, plus sweep-level
+//! invariants (determinism across reruns, parallel/serial identity,
+//! Isrf1-vs-Isrf4 functional equivalence).
 //!
 //! Memory in this simulator moves functionally at request time — the cache
 //! and DRAM models only shape timing and traffic accounting — so the final
@@ -9,86 +10,16 @@
 //! and identical to what the ISA-semantics interpreter produces.
 
 use isrf_apps::common::Prepared;
-use isrf_apps::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
+use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_check::{first_divergence, run_differential, run_parallel, run_serial, DiffOutcome};
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_sim::ExecEngine;
 
-const APPS: [&str; 8] = [
-    "fft2d", "rijndael", "sort", "filter", "igraph", "spmv", "stencil", "bfs",
-];
-const CONFIGS: [ConfigName; 4] = [
-    ConfigName::Base,
-    ConfigName::Isrf1,
-    ConfigName::Isrf4,
-    ConfigName::Cache,
-];
-
-/// Build a ready-to-run machine+program for one sweep point, with the same
-/// shrunk parameters the bench harness uses for its Small profile.
+/// Build a ready-to-run machine+program for one sweep point at the
+/// registry's Small sizes.
 fn prepare(app: &str, cfg: ConfigName) -> Prepared {
-    match app {
-        "fft2d" => fft2d::prepare(
-            cfg,
-            &fft2d::Fft2dParams {
-                reps: 1,
-                ..Default::default()
-            },
-        ),
-        "rijndael" => rijndael::prepare(
-            cfg,
-            &rijndael::RijndaelParams {
-                chains_per_lane: 2,
-                waves: 2,
-                strips: 2,
-                ..Default::default()
-            },
-        ),
-        "sort" => sort::prepare(
-            cfg,
-            &sort::SortParams {
-                keys_per_lane: 64,
-                ..Default::default()
-            },
-        ),
-        "filter" => filter::prepare(
-            cfg,
-            &filter::FilterParams {
-                rows: 32,
-                ..Default::default()
-            },
-        ),
-        "igraph" => {
-            let mut ds = igraph::dataset("IG_SML");
-            ds.nodes /= 4;
-            igraph::prepare(cfg, &ds)
-        }
-        "spmv" => spmv::prepare(
-            cfg,
-            &spmv::SpmvParams {
-                rows: 256,
-                strip_rows: 32,
-                ..Default::default()
-            },
-        ),
-        "stencil" => stencil::prepare(
-            cfg,
-            &stencil::StencilParams {
-                rows: 64,
-                ..Default::default()
-            },
-        ),
-        "bfs" => bfs::prepare(
-            cfg,
-            &bfs::BfsParams {
-                nodes: 512,
-                strip_nodes: 64,
-                ..Default::default()
-            },
-        ),
-        other => panic!("unknown app {other}"),
-    }
+    prepare_app(app, cfg, Profile::Small)
 }
 
 /// On a differential failure, narrow the blame: run the point under both
@@ -116,29 +47,34 @@ fn bisect_engines(app: &str, cfg: ConfigName) -> String {
     }
 }
 
+/// Diff one point against the reference executor, then check its final
+/// memory against the app's bit-exact host reference.
 fn diff_point(app: &str, cfg: ConfigName) -> DiffOutcome {
     let mut pr = prepare(app, cfg);
-    run_differential(&mut pr.machine, &pr.program, &pr.outputs).unwrap_or_else(|failure| {
-        let shown: Vec<String> = failure
-            .errors
-            .iter()
-            .take(8)
-            .map(|e| e.to_string())
-            .collect();
-        panic!(
-            "{app} on {cfg:?} diverged from the reference executor \
+    let outcome =
+        run_differential(&mut pr.machine, &pr.program, &pr.outputs).unwrap_or_else(|failure| {
+            let shown: Vec<String> = failure
+                .errors
+                .iter()
+                .take(8)
+                .map(|e| e.to_string())
+                .collect();
+            panic!(
+                "{app} on {cfg:?} diverged from the reference executor \
              ({} mismatches):\n  {}\nlast trace events:\n{}\n{}",
-            failure.errors.len(),
-            shown.join("\n  "),
-            failure.trace_tail.join("\n"),
-            bisect_engines(app, cfg)
-        )
-    })
+                failure.errors.len(),
+                shown.join("\n  "),
+                failure.trace_tail.join("\n"),
+                bisect_engines(app, cfg)
+            )
+        });
+    pr.check();
+    outcome
 }
 
 fn grid() -> Vec<(&'static str, ConfigName)> {
     APPS.iter()
-        .flat_map(|&a| CONFIGS.iter().map(move |&c| (a, c)))
+        .flat_map(|&a| ConfigName::ALL.iter().map(move |&c| (a, c)))
         .collect()
 }
 

@@ -15,8 +15,8 @@ fn headline_speedups_and_traffic() {
         strips: 2,
         ..Default::default()
     };
-    let base = rijndael::run(ConfigName::Base, &params);
-    let isrf = rijndael::run(ConfigName::Isrf4, &params);
+    let base = rijndael::prepare(ConfigName::Base, &params).run_and_check();
+    let isrf = rijndael::prepare(ConfigName::Isrf4, &params).run_and_check();
     let speedup = isrf.speedup_over(&base);
     assert!(
         speedup > 3.0 && speedup < 8.0,
@@ -36,21 +36,21 @@ fn isrf4_beats_cache_on_rijndael_and_sort() {
         strips: 2,
         ..Default::default()
     };
-    let cache = rijndael::run(ConfigName::Cache, &params);
-    let isrf = rijndael::run(ConfigName::Isrf4, &params);
+    let cache = rijndael::prepare(ConfigName::Cache, &params).run_and_check();
+    let isrf = rijndael::prepare(ConfigName::Isrf4, &params).run_and_check();
     assert!(isrf.cycles < cache.cycles, "Rijndael: ISRF4 beats Cache");
 
     let sp = sort::SortParams {
         keys_per_lane: 64,
         ..Default::default()
     };
-    let cache = sort::run(ConfigName::Cache, &sp);
-    let isrf = sort::run(ConfigName::Isrf4, &sp);
+    let cache = sort::prepare(ConfigName::Cache, &sp).run_and_check();
+    let isrf = sort::prepare(ConfigName::Isrf4, &sp).run_and_check();
     assert!(isrf.cycles < cache.cycles, "Sort: ISRF4 beats Cache");
     // "The cache does not provide the conditional and complex SRF accesses
     // ... and consequently does not provide any speedup for these
     // benchmarks": Cache == Base for Sort.
-    let base = sort::run(ConfigName::Base, &sp);
+    let base = sort::prepare(ConfigName::Base, &sp).run_and_check();
     assert_eq!(cache.cycles, base.cycles, "Cache gives Sort nothing");
 }
 
@@ -92,7 +92,7 @@ fn ig_strips_and_crosslane() {
     }
     let mut ds = igraph::dataset("IG_SML");
     ds.nodes = 1152;
-    let s = igraph::run(ConfigName::Isrf4, &ds);
+    let s = igraph::prepare(ConfigName::Isrf4, &ds).run_and_check();
     assert!(s.srf.crosslane_words > 0);
     assert_eq!(s.srf.inlane_words, 0);
 }
