@@ -28,6 +28,13 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark package compiles (perfbench)"
+# perfbench/ is its own Cargo workspace building crates/* by path, so the
+# workspace build above does not cover it; an API change it relies on
+# (isrf_serve::Json, Machine::run, prepare_app, ...) must fail here, not
+# only when the benchmark runs.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -230,13 +230,20 @@ fn load_mode(jobs: usize, clients: usize, workers: usize, out: &str) -> ExitCode
     println!("loadtest: memoized repeat {warm_p50:.2} ms vs cold {cold_ms:.1} ms = {speedup:.0}x");
     println!("loadtest: {diverged} divergences");
 
-    let json = format!(
-        "{{\n  \"jobs\": {jobs},\n  \"clients\": {clients},\n  \"workers\": {workers},\n  \
-         \"wall_s\": {wall_s:.3},\n  \"jobs_per_sec\": {jobs_per_sec:.1},\n  \
-         \"p50_ms\": {p50:.2},\n  \"p99_ms\": {p99:.2},\n  \"divergences\": {diverged},\n  \
-         \"memo_cold_ms\": {cold_ms:.2},\n  \"memo_warm_p50_ms\": {warm_p50:.3},\n  \
-         \"memo_speedup\": {speedup:.1}\n}}\n"
-    );
+    let json = Json::Obj(vec![
+        ("jobs".into(), Json::u64(jobs as u64)),
+        ("clients".into(), Json::u64(clients as u64)),
+        ("workers".into(), Json::u64(workers as u64)),
+        ("wall_s".into(), Json::Num(wall_s)),
+        ("jobs_per_sec".into(), Json::Num(jobs_per_sec)),
+        ("p50_ms".into(), Json::Num(p50)),
+        ("p99_ms".into(), Json::Num(p99)),
+        ("divergences".into(), Json::u64(diverged as u64)),
+        ("memo_cold_ms".into(), Json::Num(cold_ms)),
+        ("memo_warm_p50_ms".into(), Json::Num(warm_p50)),
+        ("memo_speedup".into(), Json::Num(speedup)),
+    ])
+    .render_pretty();
     if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(dir);

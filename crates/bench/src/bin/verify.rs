@@ -26,13 +26,12 @@
 //! Apps: `fft2d rijndael sort filter igraph spmv stencil bfs`. Configs:
 //! `base isrf1 isrf4 cache`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_core::config::ConfigName;
-use isrf_sim::ExecEngine;
-use isrf_trace::json::escaped;
+use isrf_sim::{Diagnostic, ExecEngine};
+use isrf_trace::Json;
 use isrf_verify::{explain, Report, Verifier};
 
 /// The static floor must recover at least this percentage of the simulated
@@ -50,70 +49,41 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn diag_json(d: &isrf_sim::Diagnostic) -> String {
-    let mut s = format!(
-        "{{\"code\":\"{}\",\"check\":\"{}\",\"message\":\"{}\"",
-        escaped(&d.code),
-        escaped(&d.check),
-        escaped(&d.message)
-    );
-    if let Some(op) = d.prog_op {
-        let _ = write!(s, ",\"prog_op\":{op}");
-    }
-    if let Some(k) = &d.kernel {
-        let _ = write!(s, ",\"kernel\":\"{}\"", escaped(k));
-    }
-    if let Some(line) = d.line {
-        let _ = write!(s, ",\"line\":{line}");
-    }
-    s.push('}');
-    s
-}
-
-/// One analyzer point rendered as a canonical JSON object (keys in fixed
-/// order, streams elided — the golden tracks program-level behavior).
-fn point_json(app: &str, cfg: ConfigName, report: &Report) -> String {
-    let mut s = format!("    {{\"app\":\"{app}\",\"config\":\"{cfg}\",");
-    let diags: Vec<String> = report.diagnostics.iter().map(diag_json).collect();
-    let warns: Vec<String> = report.warnings.iter().map(diag_json).collect();
-    let _ = write!(
-        s,
-        "\"diagnostics\":[{}],\"warnings\":[{}],",
-        diags.join(","),
-        warns.join(",")
-    );
+/// One analyzer point as a canonical JSON object (keys in fixed order,
+/// streams elided — the golden tracks program-level behavior).
+fn point_json(app: &str, cfg: ConfigName, report: &Report) -> Json {
+    let diags = |ds: &[Diagnostic]| Json::Arr(ds.iter().map(Diagnostic::to_json).collect());
     let c = &report.cost;
-    let kernels: Vec<String> = c
-        .kernels
-        .iter()
-        .map(|k| {
-            format!(
-                "{{\"name\":\"{}\",\"prog_op\":{},\"iters\":{},\"ii\":{},\"floor\":{},\
-                 \"schedule_floor\":{},\"port_floor\":{},\"inlane_pressure_pct\":{},\
-                 \"crosslane_pressure_pct\":{}}}",
-                escaped(&k.name),
-                k.prog_op,
-                k.iters,
-                k.ii,
-                k.floor,
-                k.schedule_floor,
-                k.port_floor,
-                k.inlane_pressure_pct,
-                k.crosslane_pressure_pct
-            )
-        })
-        .collect();
-    let _ = write!(
-        s,
-        "\"cycle_floor\":{},\"kernel_floor\":{},\"mem_words\":{},\"mem_floor\":{},\
-         \"kernels\":[{}]}}",
-        c.cycle_floor,
-        c.kernel_floor,
-        c.mem_words,
-        c.mem_floor,
-        kernels.join(",")
-    );
-    s
+    let kernels = c.kernels.iter().map(|k| {
+        Json::Obj(vec![
+            ("name".into(), Json::str(&k.name)),
+            ("prog_op".into(), Json::u64(k.prog_op as u64)),
+            ("iters".into(), Json::u64(k.iters)),
+            ("ii".into(), Json::u64(u64::from(k.ii))),
+            ("floor".into(), Json::u64(k.floor)),
+            ("schedule_floor".into(), Json::u64(k.schedule_floor)),
+            ("port_floor".into(), Json::u64(k.port_floor)),
+            (
+                "inlane_pressure_pct".into(),
+                Json::u64(u64::from(k.inlane_pressure_pct)),
+            ),
+            (
+                "crosslane_pressure_pct".into(),
+                Json::u64(u64::from(k.crosslane_pressure_pct)),
+            ),
+        ])
+    });
+    Json::Obj(vec![
+        ("app".into(), Json::str(app)),
+        ("config".into(), Json::str(cfg.to_string())),
+        ("diagnostics".into(), diags(&report.diagnostics)),
+        ("warnings".into(), diags(&report.warnings)),
+        ("cycle_floor".into(), Json::u64(c.cycle_floor)),
+        ("kernel_floor".into(), Json::u64(c.kernel_floor)),
+        ("mem_words".into(), Json::u64(c.mem_words)),
+        ("mem_floor".into(), Json::u64(c.mem_floor)),
+        ("kernels".into(), Json::Arr(kernels.collect())),
+    ])
 }
 
 struct Point {
@@ -137,24 +107,17 @@ fn analyze(apps: &[&'static str], configs: &[ConfigName], profile: Profile) -> V
 }
 
 fn render_report(points: &[Point], profile: Profile) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(
-        s,
-        "  \"profile\": \"{}\",",
-        if profile == Profile::Paper {
-            "paper"
-        } else {
-            "small"
-        }
-    );
-    s.push_str("  \"points\": [\n");
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| point_json(p.app, p.cfg, &p.report))
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
+    let profile = if profile == Profile::Paper {
+        "paper"
+    } else {
+        "small"
+    };
+    let points = points.iter().map(|p| point_json(p.app, p.cfg, &p.report));
+    Json::Obj(vec![
+        ("profile".into(), Json::str(profile)),
+        ("points".into(), Json::Arr(points.collect())),
+    ])
+    .render_pretty()
 }
 
 fn main() {

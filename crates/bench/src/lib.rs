@@ -17,6 +17,7 @@ use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sram::{AreaModel, EnergyModel, SrfGeometry, SrfVariant};
+use isrf_trace::Json;
 
 pub mod perf;
 
@@ -314,100 +315,68 @@ pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
     })
 }
 
-/// Render a list of JSON objects (already-rendered `"key": value` field
-/// strings per row) as a pretty-printed JSON array.
-fn json_array(rows: Vec<Vec<String>>) -> String {
-    let body: Vec<String> = rows
-        .into_iter()
-        .map(|fields| format!("  {{{}}}", fields.join(", ")))
-        .collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-fn json_str(name: &str, v: &str) -> String {
-    format!("\"{name}\": \"{}\"", isrf_trace::json::escaped(v))
-}
-
-fn json_f64(name: &str, v: f64) -> String {
-    // Finite by construction; fixed precision keeps output diff-stable.
-    format!("\"{name}\": {v:.6}")
-}
-
-fn json_u64(name: &str, v: u64) -> String {
-    format!("\"{name}\": {v}")
+/// Render `rows` as a `results/` JSON array of objects (layout per
+/// [`Json::render_pretty`]).
+fn rows_json<T>(rows: &[T], row: impl Fn(&T) -> Vec<(&'static str, Json)>) -> String {
+    let obj = |r: &T| Json::Obj(row(r).into_iter().map(|(k, v)| (k.into(), v)).collect());
+    Json::Arr(rows.iter().map(obj).collect()).render_pretty()
 }
 
 /// Figure 11 rows as machine-readable JSON.
 pub fn fig11_json(rows: &[(String, f64, f64)]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, isrf, cache)| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("isrf", *isrf),
-                    json_f64("cache", *cache),
-                ]
-            })
-            .collect(),
-    )
+    rows_json(rows, |(name, isrf, cache)| {
+        vec![
+            ("benchmark", Json::str(name)),
+            ("isrf", Json::Num(*isrf)),
+            ("cache", Json::Num(*cache)),
+        ]
+    })
 }
 
 /// Figure 12 rows as machine-readable JSON, including the absolute cycle
 /// counts and raw breakdown behind the normalized fractions.
 pub fn fig12_json(rows: &[Fig12Row]) -> String {
-    json_array(
-        rows.iter()
-            .map(|r| {
-                vec![
-                    json_str("benchmark", &r.benchmark),
-                    json_str("config", &r.config.to_string()),
-                    json_f64("kernel_loop", r.parts[0]),
-                    json_f64("mem_stall", r.parts[1]),
-                    json_f64("srf_stall", r.parts[2]),
-                    json_f64("overhead", r.parts[3]),
-                    json_f64("total", r.total()),
-                    json_u64("cycles", r.cycles),
-                    json_u64("raw_kernel_loop", r.raw[0]),
-                    json_u64("raw_mem_stall", r.raw[1]),
-                    json_u64("raw_srf_stall", r.raw[2]),
-                    json_u64("raw_overhead", r.raw[3]),
-                    json_u64("mem_bytes", r.mem_bytes),
-                ]
-            })
-            .collect(),
-    )
+    rows_json(rows, |r| {
+        vec![
+            ("benchmark", Json::str(&r.benchmark)),
+            ("config", Json::str(r.config.to_string())),
+            ("kernel_loop", Json::Num(r.parts[0])),
+            ("mem_stall", Json::Num(r.parts[1])),
+            ("srf_stall", Json::Num(r.parts[2])),
+            ("overhead", Json::Num(r.parts[3])),
+            ("total", Json::Num(r.total())),
+            ("cycles", Json::u64(r.cycles)),
+            ("raw_kernel_loop", Json::u64(r.raw[0])),
+            ("raw_mem_stall", Json::u64(r.raw[1])),
+            ("raw_srf_stall", Json::u64(r.raw[2])),
+            ("raw_overhead", Json::u64(r.raw[3])),
+            ("mem_bytes", Json::u64(r.mem_bytes)),
+        ]
+    })
 }
 
 /// Figure 13 rows as machine-readable JSON.
 pub fn fig13_json(rows: &[(String, [f64; 3])]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, [seq, xl, inl])| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("sequential", *seq),
-                    json_f64("crosslane", *xl),
-                    json_f64("inlane", *inl),
-                ]
-            })
-            .collect(),
-    )
+    rows_json(rows, |(name, [seq, xl, inl])| {
+        vec![
+            ("benchmark", Json::str(name)),
+            ("sequential", Json::Num(*seq)),
+            ("crosslane", Json::Num(*xl)),
+            ("inlane", Json::Num(*inl)),
+        ]
+    })
 }
 
 /// Headline-summary rows as machine-readable JSON.
 pub fn summary_json(rows: &[(String, f64, f64, f64)]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, sp, cut, er)| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("speedup", *sp),
-                    json_f64("traffic_cut", *cut),
-                    json_f64("energy_ratio", *er),
-                ]
-            })
-            .collect(),
-    )
+    rows_json(rows, |(name, sp, cut, er)| {
+        vec![
+            ("benchmark", Json::str(name)),
+            ("speedup", Json::Num(*sp)),
+            ("traffic_cut", Json::Num(*cut)),
+            ("energy_ratio", Json::Num(*er)),
+        ]
+    })
 }
 
 #[cfg(test)]

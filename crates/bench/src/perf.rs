@@ -20,7 +20,9 @@ use isrf_sim::program::StreamProgram;
 
 use isrf_apps::{prepare_app, Profile, APPS};
 
-use crate::{fig12, json_f64, json_str, json_u64};
+use isrf_trace::Json;
+
+use crate::fig12;
 
 /// The fraction of baseline sim-cycles/sec below which `--check` fails.
 pub const REGRESSION_BUDGET: f64 = 0.75;
@@ -191,95 +193,62 @@ pub fn peak_rss_kb() -> u64 {
 
 /// Render a report as the `results/BENCH_perf.json` document.
 pub fn perf_json(r: &PerfReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  {},\n", json_str("schema", "isrf-perf-v1")));
-    out.push_str(&format!(
-        "  {},\n",
-        json_str(
-            "profile",
-            match r.profile {
-                Profile::Small => "small",
-                Profile::Paper => "paper",
-            }
-        )
-    ));
-    out.push_str(&format!("  {},\n", json_u64("runs", r.runs as u64)));
-    out.push_str(&format!("  {},\n", json_u64("peak_rss_kb", r.peak_rss_kb)));
-    out.push_str(&format!(
-        "  {},\n",
-        json_u64("basket_cycles", r.basket_cycles())
-    ));
-    out.push_str(&format!(
-        "  {},\n",
-        json_f64("basket_wall_s", r.basket_wall_s())
-    ));
-    out.push_str(&format!(
-        "  {},\n",
-        json_f64("basket_cycles_per_sec", r.basket_cycles_per_sec())
-    ));
-    out.push_str("  \"entries\": [\n");
-    let rows: Vec<String> = r
-        .entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{{}, {}, {}, {}}}",
-                json_str("name", &e.name),
-                json_u64("cycles", e.cycles),
-                json_f64("wall_s", e.wall_s),
-                json_f64("cycles_per_sec", e.cycles_per_sec())
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    let profile = match r.profile {
+        Profile::Small => "small",
+        Profile::Paper => "paper",
+    };
+    let entries = r.entries.iter().map(|e| {
+        Json::Obj(vec![
+            ("name".into(), Json::str(&e.name)),
+            ("cycles".into(), Json::u64(e.cycles)),
+            ("wall_s".into(), Json::Num(e.wall_s)),
+            ("cycles_per_sec".into(), Json::Num(e.cycles_per_sec())),
+        ])
+    });
+    Json::Obj(vec![
+        ("schema".into(), Json::str("isrf-perf-v1")),
+        ("profile".into(), Json::str(profile)),
+        ("runs".into(), Json::u64(u64::from(r.runs))),
+        ("peak_rss_kb".into(), Json::u64(r.peak_rss_kb)),
+        ("basket_cycles".into(), Json::u64(r.basket_cycles())),
+        ("basket_wall_s".into(), Json::Num(r.basket_wall_s())),
+        (
+            "basket_cycles_per_sec".into(),
+            Json::Num(r.basket_cycles_per_sec()),
+        ),
+        ("entries".into(), Json::Arr(entries.collect())),
+    ])
+    .render_pretty()
 }
 
 /// Extract the `basket_cycles_per_sec` field from a baseline document
-/// written by [`perf_json`]. Returns `None` when the field is missing or
-/// malformed — callers should treat that as "no usable baseline".
+/// written by [`perf_json`]. Returns `None` when the document does not
+/// parse or the field is missing — callers should treat that as "no
+/// usable baseline".
 pub fn baseline_cycles_per_sec(json: &str) -> Option<f64> {
-    num_after(json, "\"basket_cycles_per_sec\":")
+    Json::parse(json)
+        .ok()?
+        .get("basket_cycles_per_sec")?
+        .as_f64()
 }
 
 /// Extract `(name, cycles, cycles_per_sec)` for every entry of a baseline
 /// document written by [`perf_json`], so a failed regression check can
 /// print a per-entry delta table. Malformed entries are skipped.
 pub fn baseline_entries(json: &str) -> Vec<(String, u64, f64)> {
-    let Some(at) = json.find("\"entries\"") else {
+    let Ok(doc) = Json::parse(json) else {
         return Vec::new();
     };
-    json[at..]
-        .split('{')
-        .skip(1)
-        .filter_map(|seg| {
-            let name = str_after(seg, "\"name\":")?;
-            let cycles = num_after(seg, "\"cycles\":")? as u64;
-            let cps = num_after(seg, "\"cycles_per_sec\":")?;
+    let entries = doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]);
+    entries
+        .iter()
+        .filter_map(|e| {
+            let name = e.get("name")?.as_str()?.to_string();
+            let cycles = e.get("cycles")?.as_u64()?;
+            let cps = e.get("cycles_per_sec")?.as_f64()?;
             Some((name, cycles, cps))
         })
         .collect()
-}
-
-/// The JSON number following `key`, if present and well-formed.
-fn num_after(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The JSON string following `key` (no escape handling — [`perf_json`]
-/// never emits escapes in entry names).
-fn str_after(json: &str, key: &str) -> Option<String> {
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 #[cfg(test)]
@@ -326,5 +295,32 @@ mod tests {
             assert_eq!(got.1, want.cycles);
             assert!((got.2 - want.cycles_per_sec()).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn entry_names_with_escapes_round_trip() {
+        let name = r#"odd "quoted" \ name"#;
+        let report = PerfReport {
+            profile: Profile::Paper,
+            runs: 1,
+            entries: vec![PerfEntry {
+                name: name.into(),
+                cycles: 5,
+                wall_s: 0.25,
+            }],
+            peak_rss_kb: 0,
+        };
+        let entries = baseline_entries(&perf_json(&report));
+        assert_eq!(entries, vec![(name.to_string(), 5, 20.0)]);
+    }
+
+    #[test]
+    fn reads_the_committed_baseline_unmodified() {
+        let json = include_str!("../../../results/BENCH_perf.json");
+        assert_eq!(baseline_cycles_per_sec(json), Some(4229782.680549));
+        let entries = baseline_entries(json);
+        assert_eq!(entries.len(), 34);
+        assert_eq!(entries[0].0, "fft2d/Base");
+        assert_eq!(entries[0].1, 39594);
     }
 }

@@ -17,10 +17,9 @@ use isrf_core::Word;
 use isrf_kernel::ir::StreamKind;
 use isrf_kernel::sched::{schedule_cached, SchedParams};
 use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgram};
-use isrf_trace::{chrome, Tracer};
+use isrf_trace::{chrome, Json, Tracer};
 use isrf_verify::Verifier;
 
-use crate::json::Json;
 use crate::spec::{AppRef, PointSpec};
 
 /// How a finished point's output words are located.
@@ -310,31 +309,6 @@ impl PointRunner {
     }
 }
 
-/// Render one verifier finding as a wire JSON object.
-fn diag_json(d: &Diagnostic) -> Json {
-    let mut obj = vec![
-        ("code".into(), Json::str(d.code.clone())),
-        ("check".into(), Json::str(d.check.clone())),
-        ("message".into(), Json::str(d.message.clone())),
-    ];
-    if let Some(op) = d.prog_op {
-        obj.push(("prog_op".into(), Json::u64(op as u64)));
-    }
-    if let Some(k) = &d.kernel {
-        obj.push(("kernel".into(), Json::str(k.clone())));
-    }
-    if let Some(line) = d.line {
-        obj.push(("line".into(), Json::u64(u64::from(line))));
-    }
-    if !d.notes.is_empty() {
-        obj.push((
-            "notes".into(),
-            Json::Arr(d.notes.iter().map(|n| Json::str(n.clone())).collect()),
-        ));
-    }
-    Json::Obj(obj)
-}
-
 /// Statically analyze `spec` without simulating a cycle: build the same
 /// machine + program a worker would run and hand them to the whole-program
 /// verifier. `Ok(())` means the point is admissible; `Err` carries one
@@ -368,7 +342,7 @@ pub fn analyze_point(spec: &PointSpec) -> Result<(), Vec<Json>> {
     if diags.is_empty() {
         Ok(())
     } else {
-        Err(diags.iter().map(diag_json).collect())
+        Err(diags.iter().map(Diagnostic::to_json).collect())
     }
 }
 

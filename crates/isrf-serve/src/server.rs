@@ -30,9 +30,9 @@ use isrf_trace::{Histogram, MetricsRegistry};
 
 use crate::exec::{analyze_point, PointRunner};
 use crate::http::{read_request, HttpError, Limits, Request, Response};
-use crate::json::Json;
 use crate::pool::{Pool, WorkerHandle};
 use crate::spec::JobSpec;
+use isrf_trace::Json;
 
 /// Server tunables.
 #[derive(Debug, Clone)]

@@ -163,12 +163,26 @@ fn json_numeric_edges_round_trip_exactly() {
         9_007_199_254_740_993.0,
         u64::MAX as f64,
         i64::MIN as f64,
+        9.25e18, // integral, past i64::MAX: must not saturate
+        -9.25e18,
         123456.789,
     ] {
         let text = Json::Num(v).render();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.as_f64(), Some(v), "{v} via {text}");
     }
+}
+
+#[test]
+fn json_as_u64_rejects_values_past_u64_max() {
+    let read = |text: &str| Json::parse(text).unwrap().as_u64();
+    assert_eq!(read("18446744073709551616"), None); // 2^64
+    assert_eq!(
+        read("18446744073709549568"),
+        Some(18_446_744_073_709_549_568)
+    );
+    assert_eq!(read("-1"), None);
+    assert_eq!(read("1.5"), None);
 }
 
 #[test]

@@ -65,7 +65,7 @@ struct RunState {
 use crate::program::{ProgOp, StreamProgram};
 use crate::srf::{Srf, SrfRange};
 use crate::stream::StreamBinding;
-use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError, VerifyPolicy};
+use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
 
 /// A complete simulated stream processor.
 #[derive(Debug)]
@@ -92,8 +92,6 @@ pub struct Machine {
     quiesce_skip: bool,
     /// Static verifier consulted before simulation, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
-    /// When the installed verifier runs automatically.
-    verify_policy: VerifyPolicy,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
     filled: Vec<(u32, u32)>,
@@ -129,7 +127,6 @@ impl Machine {
             store_buf: Vec::new(),
             quiesce_skip: true,
             verifier: None,
-            verify_policy: VerifyPolicy::default(),
             filled: Vec::new(),
             engine: ExecEngine::default(),
             active: None,
@@ -256,19 +253,14 @@ impl Machine {
     }
 
     /// Install a static verifier (or remove one with `None`); returns the
-    /// previous verifier. See [`VerifyPolicy`] for when it runs.
+    /// previous verifier. [`Machine::run`] consults it automatically in
+    /// debug builds only; release builds call
+    /// [`Machine::verify_program`] explicitly.
     pub fn set_verifier(
         &mut self,
         v: Option<Arc<dyn ProgramVerifier>>,
     ) -> Option<Arc<dyn ProgramVerifier>> {
         std::mem::replace(&mut self.verifier, v)
-    }
-
-    /// Set when the installed verifier runs automatically inside
-    /// [`Machine::run`]; returns the previous policy. The default is
-    /// [`VerifyPolicy::Debug`].
-    pub fn set_verify_policy(&mut self, p: VerifyPolicy) -> VerifyPolicy {
-        std::mem::replace(&mut self.verify_policy, p)
     }
 
     /// The machine-side facts handed to the verifier: allocator high-water
@@ -280,7 +272,7 @@ impl Machine {
         }
     }
 
-    /// Run the installed verifier on `program` now, regardless of policy.
+    /// Run the installed verifier on `program` now, in any build.
     ///
     /// # Errors
     ///
@@ -477,7 +469,7 @@ impl Machine {
 
     /// Execute `program` to completion; returns the stats for this run.
     ///
-    /// When a verifier is installed and the policy is active,
+    /// When a verifier is installed, debug builds verify first and
     /// verification failures panic with the full diagnostic list — use
     /// [`Machine::run_checked`] to get them as a typed error instead.
     ///
@@ -492,15 +484,15 @@ impl Machine {
 
     /// Like [`Machine::run`], but verification failures come back as a
     /// typed [`VerifyError`] instead of a panic. The verifier runs once,
-    /// before the first simulated cycle (per [`VerifyPolicy`]); simulation
+    /// before the first simulated cycle, in debug builds only; simulation
     /// itself is unchanged.
     ///
     /// # Errors
     ///
-    /// The verifier's diagnostics, when the policy is active and the
-    /// program is not clean.
+    /// The verifier's diagnostics, in a debug build when the program is
+    /// not clean.
     pub fn run_checked(&mut self, program: &StreamProgram) -> Result<RunStats, VerifyError> {
-        if self.active.is_none() && self.verifier.is_some() && self.verify_policy.active() {
+        if self.active.is_none() && self.verifier.is_some() && cfg!(debug_assertions) {
             self.verify_program(program)?;
         }
         let stats = self
@@ -526,7 +518,7 @@ impl Machine {
     /// As [`Machine::run`]: verification failures (checked only when
     /// starting fresh, not when resuming) and deadlock panic.
     pub fn run_for(&mut self, program: &StreamProgram, max_cycles: u64) -> Option<RunStats> {
-        if self.active.is_none() && self.verifier.is_some() && self.verify_policy.active() {
+        if self.active.is_none() && self.verifier.is_some() && cfg!(debug_assertions) {
             self.verify_program(program)
                 .unwrap_or_else(|e| panic!("{e}"));
         }

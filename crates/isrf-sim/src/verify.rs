@@ -2,8 +2,9 @@
 //!
 //! The simulator does not implement any analysis itself — it defines the
 //! *interface*: a [`ProgramVerifier`] installed on a machine is consulted
-//! before [`Machine::run`](crate::Machine::run) simulates a program
-//! (always, never, or only in debug builds, per [`VerifyPolicy`]). The
+//! before [`Machine::run`](crate::Machine::run) simulates a program in
+//! debug builds (release builds call
+//! [`Machine::verify_program`](crate::Machine::verify_program)). The
 //! concrete analyzer lives in the `isrf-verify` crate; keeping only the
 //! trait here avoids a dependency cycle (`isrf-verify` depends on this
 //! crate for [`StreamProgram`]).
@@ -11,6 +12,7 @@
 use std::fmt;
 
 use isrf_core::config::MachineConfig;
+use isrf_trace::Json;
 
 use crate::program::StreamProgram;
 
@@ -53,6 +55,35 @@ impl fmt::Display for Diagnostic {
             write!(f, " (line {line})")?;
         }
         write!(f, ": {}", self.message)
+    }
+}
+
+impl Diagnostic {
+    /// The finding as a JSON object — the one encoding shared by the
+    /// verifier's golden reports and the server's `422` bodies. Keys in
+    /// fixed order; absent optional fields and empty `notes` are omitted.
+    pub fn to_json(&self) -> Json {
+        let mut obj = vec![
+            ("code".into(), Json::str(self.code.clone())),
+            ("check".into(), Json::str(self.check.clone())),
+            ("message".into(), Json::str(self.message.clone())),
+        ];
+        if let Some(op) = self.prog_op {
+            obj.push(("prog_op".into(), Json::u64(op as u64)));
+        }
+        if let Some(k) = &self.kernel {
+            obj.push(("kernel".into(), Json::str(k.clone())));
+        }
+        if let Some(line) = self.line {
+            obj.push(("line".into(), Json::u64(u64::from(line))));
+        }
+        if !self.notes.is_empty() {
+            obj.push((
+                "notes".into(),
+                Json::Arr(self.notes.iter().map(|n| Json::str(n.clone())).collect()),
+            ));
+        }
+        Json::Obj(obj)
     }
 }
 
@@ -124,31 +155,6 @@ pub trait ProgramVerifier: Send + Sync + fmt::Debug {
         env: &VerifyEnv,
         program: &StreamProgram,
     ) -> Vec<Diagnostic>;
-}
-
-/// When the installed verifier runs inside [`Machine::run`](crate::Machine::run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyPolicy {
-    /// Never run automatically (explicit
-    /// [`Machine::verify_program`](crate::Machine::verify_program) only).
-    Off,
-    /// Run in debug builds only — the default: tests get full checking,
-    /// release benchmarking pays nothing.
-    #[default]
-    Debug,
-    /// Run before every simulation.
-    Always,
-}
-
-impl VerifyPolicy {
-    /// Whether the policy is active in this build.
-    pub fn active(self) -> bool {
-        match self {
-            VerifyPolicy::Off => false,
-            VerifyPolicy::Debug => cfg!(debug_assertions),
-            VerifyPolicy::Always => true,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@
 //! - [`chrome`] — Chrome trace-event JSON export (open in
 //!   `chrome://tracing` or Perfetto).
 //! - [`timeline`] — a plain-text strip-chart renderer.
-//! - [`json`] — string escaping and a syntax validator for the
-//!   hand-rolled emitters.
+//! - [`json`] — the workspace's one JSON codec: the [`Json`] value model
+//!   with its parser and renderers, and the string escaper the streaming
+//!   Chrome exporter shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +38,6 @@ pub mod timeline;
 
 pub use audit::{AuditAccumulator, AuditMismatch};
 pub use event::{CycleAttr, IdxRejectReason, StallReason, TraceEvent};
+pub use json::{Json, JsonError};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::{Counters, NullSink, Recorder, RingBuffer, TraceSink, Tracer};
