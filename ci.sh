@@ -15,6 +15,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Stage headers. A stage's wall time is printed when it ends, e.g.
+# "==> cargo test (41 s)", so a slow stage names itself.
+stage=""
+stage() {
+  [[ -z "$stage" ]] || echo "==> $stage ($SECONDS s)"
+  stage="$1"
+  SECONDS=0
+  [[ -z "$stage" ]] || echo "==> $stage"
+}
+
 perf_check=0
 miri=0
 for arg in "$@"; do
@@ -25,26 +35,26 @@ for arg in "$@"; do
   esac
 done
 
-echo "==> cargo build --release"
+stage "cargo build --release"
 cargo build --release --workspace
 
-echo "==> benchmark package compiles (perfbench)"
+stage "benchmark package compiles (perfbench)"
 # perfbench/ is its own Cargo workspace building crates/* by path, so the
 # workspace build above does not cover it; an API change it relies on
 # (isrf_serve::Json, Machine::run, prepare_app, ...) must fail here, not
 # only when the benchmark runs.
 cargo check --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test"
+stage "cargo test"
 cargo test -q --workspace
 
-echo "==> cargo fmt --check"
+stage "cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings"
+stage "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (deny warnings)"
+stage "cargo doc (deny warnings)"
 # Our crates only: --workspace would also pull in the vendored stand-ins,
 # whose docs we do not police.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
@@ -52,7 +62,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p isrf-kernel -p isrf-sim -p isrf-verify -p isrf-apps -p isrf-lang \
   -p isrf-check -p isrf-serve -p isrf-bench
 
-echo "==> static verification (all apps x all configs)"
+stage "static verification (all apps x all configs)"
 # Every shipped benchmark program must pass the isrf-verify hazard
 # analyzer on every paper configuration, plus the analyzer's own negative
 # corpus (run above as part of the workspace tests, repeated here so a
@@ -60,7 +70,7 @@ echo "==> static verification (all apps x all configs)"
 ./target/release/verify all all
 cargo test -q -p isrf-verify
 
-echo "==> analyzer report drift check (golden reports)"
+stage "analyzer report drift check (golden reports)"
 # The full analyzer report — diagnostics, warnings, per-kernel pressure
 # and the static cycle floor — for all 8 apps x 4 configs on both sizing
 # profiles must match the committed goldens byte-for-byte. Regenerate
@@ -69,7 +79,7 @@ echo "==> analyzer report drift check (golden reports)"
 ./target/release/verify all all --check results/VERIFY_report.json
 ./target/release/verify all all --paper --check results/VERIFY_report_paper.json
 
-echo "==> static cycle floor vs simulation (both engines, both profiles)"
+stage "static cycle floor vs simulation (both engines, both profiles)"
 # The model's whole-program cycle lower bound must be sound (floor <=
 # simulated cycles under Tape AND Interp) and not uselessly loose
 # (floor >= MIN_FLOOR_PCT of simulated; committed in the verify bin) on
@@ -77,7 +87,7 @@ echo "==> static cycle floor vs simulation (both engines, both profiles)"
 ./target/release/verify all all --cycles
 ./target/release/verify all all --paper --cycles
 
-echo "==> trace smoke test"
+stage "trace smoke test"
 # One app on one config: the audit must pass (exit 0) and the emitted
 # Chrome trace must parse as JSON. Prefer an external JSON parser when one
 # exists; otherwise the trace binary's built-in validator is the gate —
@@ -95,7 +105,7 @@ else
   ./target/release/trace --validate "$smoke_json"
 fi
 
-echo "==> figures drift check (golden figure outputs)"
+stage "figures drift check (golden figure outputs)"
 # Every table and figure on both sizing profiles must match the committed
 # outputs byte-for-byte. Regenerate with
 # `figures all [--paper] > results/figures_{small,paper}.txt` when a change
@@ -105,7 +115,7 @@ diff -u results/figures_small.txt "$smoke_dir/figures_small.txt"
 ./target/release/figures all --paper > "$smoke_dir/figures_paper.txt"
 diff -u results/figures_paper.txt "$smoke_dir/figures_paper.txt"
 
-echo "==> engine differential (tape vs interpreter)"
+stage "engine differential (tape vs interpreter)"
 # The compiled-tape engine must be unobservable next to the graph-walking
 # interpreter: identical stats, word-for-word identical trace streams, and
 # identical output memory on a conditional-stream point (sort ISRF4), an
@@ -114,7 +124,7 @@ echo "==> engine differential (tape vs interpreter)"
 # irregular-frontier replication point (bfs Base).
 ./target/release/engines
 
-echo "==> serve smoke test"
+stage "serve smoke test"
 # Spawn the batch server on an ephemeral port with a tiny queue, submit
 # sort/ISRF4 and filter/Base, poll to completion and diff the served
 # results word-for-word against direct one-shot runs, exercise a 429
@@ -122,7 +132,7 @@ echo "==> serve smoke test"
 # POST /shutdown drain.
 ./target/release/loadtest smoke --bin target/release/isrf-serve
 
-echo "==> snapshot/resume differential + bisector negative test"
+stage "snapshot/resume differential + bisector negative test"
 # Pausing sort/ISRF4 halfway, serializing the machine, restoring into a
 # fresh one and resuming must be byte-identical to an uninterrupted run
 # under both engines; and the first-divergence bisector must localize a
@@ -131,14 +141,15 @@ echo "==> snapshot/resume differential + bisector negative test"
 ./target/release/snapshot negative
 
 if [[ "$miri" == 1 ]]; then
-  echo "==> cargo miri test (foundation crates)"
+  stage "cargo miri test (foundation crates)"
   cargo miri test -q -p isrf-core -p isrf-sram
 fi
 
 if [[ "$perf_check" == 1 ]]; then
-  echo "==> perf basket (--check against committed baseline)"
+  stage "perf basket (--check against committed baseline)"
   ./target/release/perf --check results/BENCH_perf.json \
     --out results/BENCH_perf.current.json --runs 5
 fi
 
+stage ""
 echo "CI OK"

@@ -73,7 +73,10 @@ fn paused(app: &str, cfg: ConfigName, engine: ExecEngine, at: u64) -> (Observed,
     let mut pr = prepare(app, cfg, engine);
     pr.machine.set_tracer(Tracer::recording(1 << 20));
     assert!(
-        pr.machine.run_for(&pr.program, at).is_none(),
+        pr.machine
+            .run_until(&pr.program, at)
+            .expect("prepared program verifies")
+            .is_none(),
         "{app} {cfg} finished before the pause cycle {at}"
     );
     let snapshot = pr.machine.save_state(&pr.program);
@@ -85,10 +88,7 @@ fn paused(app: &str, cfg: ConfigName, engine: ExecEngine, at: u64) -> (Observed,
         .restore_state(&fresh.program, &snapshot)
         .expect("snapshot restores into an identically prepared machine");
     fresh.machine.set_tracer(Tracer::recording(1 << 20));
-    let stats = fresh
-        .machine
-        .run_for(&fresh.program, u64::MAX)
-        .expect("resumed run completes");
+    let stats = fresh.machine.run(&fresh.program);
     events.extend(drain_events(&mut fresh.machine));
     let outputs = read_outputs(&fresh.machine, &fresh.outputs);
     (

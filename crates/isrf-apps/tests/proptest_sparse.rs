@@ -141,7 +141,7 @@ proptest! {
 
             let mut pr = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
             pr.machine.set_engine(engine);
-            let (stats_p, out_p) = match pr.machine.run_for(&pr.program, at) {
+            let (stats_p, out_p) = match pr.machine.run_until(&pr.program, at).unwrap() {
                 Some(stats) => (stats, read_output(&pr)),
                 None => {
                     let snapshot = pr.machine.save_state(&pr.program);
@@ -151,10 +151,7 @@ proptest! {
                         .machine
                         .restore_state(&fresh.program, &snapshot)
                         .expect("snapshot restores into the same recipe");
-                    let stats = fresh
-                        .machine
-                        .run_for(&fresh.program, u64::MAX)
-                        .expect("resumed run completes");
+                    let stats = fresh.machine.run(&fresh.program);
                     (stats, read_output(&fresh))
                 }
             };

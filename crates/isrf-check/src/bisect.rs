@@ -69,7 +69,7 @@ struct Side<'m> {
     m: &'m mut Machine,
     /// Cycles consumed from run start.
     at: u64,
-    /// The run completed (`run_for` returned `Some`); no further stepping.
+    /// The run completed (`run_until` returned `Some`); no further stepping.
     done: bool,
     perturb: Option<PerturbAt>,
 }
@@ -83,19 +83,23 @@ impl Side<'_> {
             // Split the step at the injection point so the perturbation
             // lands exactly after cycle `p.cycle`.
             if self.at < p.cycle && p.cycle <= target {
-                if !self.done && self.m.run_for(program, p.cycle - self.at).is_some() {
-                    self.done = true;
-                }
+                self.advance(program, p.cycle - self.at);
                 let w = self.m.srf().read(p.lane, p.offset);
                 self.m.srf_mut().write(p.lane, p.offset, w ^ p.xor);
                 self.at = p.cycle;
                 return self.step(program, target - p.cycle);
             }
         }
-        if !self.done && cycles > 0 && self.m.run_for(program, cycles).is_some() {
-            self.done = true;
-        }
+        self.advance(program, cycles);
         self.at = target;
+    }
+
+    /// Run at most `cycles` more, noting completion; panics as [`Machine::run`] does.
+    fn advance(&mut self, program: &StreamProgram, cycles: u64) {
+        if !self.done && cycles > 0 {
+            let slice = self.m.run_until(program, cycles);
+            self.done = slice.unwrap_or_else(|e| panic!("{e}")).is_some();
+        }
     }
 
     fn restore(&mut self, program: &StreamProgram, snap: &[u8], at: u64) -> Result<(), SnapError> {

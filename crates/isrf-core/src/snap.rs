@@ -217,6 +217,18 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// Read a length-prefixed run of `u32`s. The length is checked against
+    /// the bytes left before anything is allocated, so a corrupt length is
+    /// an [`SnapError::UnexpectedEof`], never an oversized allocation.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, SnapError> {
+        let n = self.usize()?;
+        let raw = self.take(n.checked_mul(4).ok_or(SnapError::UnexpectedEof)?)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect())
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapError> {
         let n = self.usize()?;
@@ -350,6 +362,9 @@ mod tests {
         e.bool(false);
         e.f64(-1.5);
         e.str("hello");
+        e.usize(2);
+        e.u32(7);
+        e.u32(0);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 0xab);
@@ -361,6 +376,7 @@ mod tests {
         assert!(!d.bool().unwrap());
         assert_eq!(d.f64().unwrap(), -1.5);
         assert_eq!(d.str().unwrap(), "hello");
+        assert_eq!(d.u32s().unwrap(), [7, 0]);
         d.finish().unwrap();
     }
 
@@ -369,6 +385,13 @@ mod tests {
         let bytes = [1u8, 2, 3];
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u64(), Err(SnapError::UnexpectedEof));
+
+        // A length far past the bytes left fails before allocating.
+        let mut e = Enc::new();
+        e.usize(1 << 40);
+        e.u32(1);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).u32s(), Err(SnapError::UnexpectedEof));
     }
 
     #[test]

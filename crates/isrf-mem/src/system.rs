@@ -742,14 +742,7 @@ impl MemorySystem {
                     record_words: d.u32()?,
                     stride_words: d.u32()?,
                 },
-                2 => {
-                    let n = d.usize()?;
-                    let mut addrs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        addrs.push(d.u32()?);
-                    }
-                    PatternCursor::Indexed(addrs)
-                }
+                2 => PatternCursor::Indexed(d.u32s()?),
                 t => {
                     return Err(SnapError::Mismatch(format!("bad pattern-cursor tag {t}")));
                 }

@@ -258,19 +258,30 @@ impl PointRunner {
         self.machine.now()
     }
 
-    /// Advance in `chunk`-cycle slices while `keep_going` approves; see
-    /// [`Machine::run_while`]. `keep_going` receives the machine's current
-    /// cycle (for progress reporting). Returns the outcome on completion,
-    /// `None` when paused cycle-exactly (checkpoint with
+    /// Advance in `chunk`-cycle [`Machine::run_until`] slices while
+    /// `keep_going` approves; it is polled with the machine's current
+    /// cycle before every slice, including the first. Returns the outcome
+    /// on completion, `None` when paused cycle-exactly (checkpoint with
     /// [`PointRunner::checkpoint`]).
+    ///
+    /// # Panics
+    ///
+    /// If `chunk` is zero or the program fails verification.
     pub fn run(
         &mut self,
         chunk: u64,
         mut keep_going: impl FnMut(u64) -> bool,
     ) -> Option<PointOutcome> {
-        let stats = self
-            .machine
-            .run_while(&self.program, chunk, |m| keep_going(m.now()))?;
+        assert!(chunk > 0, "a run slice needs at least one cycle");
+        let stats = loop {
+            if !keep_going(self.machine.now()) {
+                return None;
+            }
+            let slice = self.machine.run_until(&self.program, chunk);
+            if let Some(stats) = slice.unwrap_or_else(|e| panic!("{e}")) {
+                break stats;
+            }
+        };
         let trace_json = if self.trace {
             let recorder = self
                 .machine

@@ -18,7 +18,7 @@
 //!   submission completes instantly; an optional `nonce` defeats the
 //!   cache deliberately.
 //! - **Cycle-exact control** — points execute in bounded cycle slices via
-//!   [`isrf_sim::Machine::run_for`], so `DELETE` (cancel) and
+//!   [`isrf_sim::Machine::run_until`], so `DELETE` (cancel) and
 //!   `POST /shutdown` (drain) take effect within one slice; drain
 //!   checkpoints in-flight machines with `Machine::save_state` and the
 //!   next start resumes them exactly where they stopped.

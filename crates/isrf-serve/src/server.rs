@@ -44,7 +44,8 @@ pub struct ServerConfig {
     /// Max jobs admitted but not yet picked up by a worker; beyond this
     /// `POST /jobs` answers 429.
     pub queue_cap: usize,
-    /// Cycles per execution slice; the cancellation/drain latency bound.
+    /// Cycles per execution slice; the cancellation/drain latency bound
+    /// (clamped to at least 1).
     pub chunk_cycles: u64,
     /// Where drain checkpoints go; `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
@@ -856,7 +857,8 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn start(cfg: ServerConfig) -> io::Result<Server> {
+    pub fn start(mut cfg: ServerConfig) -> io::Result<Server> {
+        cfg.chunk_cycles = cfg.chunk_cycles.max(1);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers;

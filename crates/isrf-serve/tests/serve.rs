@@ -89,18 +89,21 @@ fn fetch_result(client: &mut Client, id: u64) -> Json {
 
 #[test]
 fn single_job_matches_direct_run() {
-    let (server, mut client) = start(2, 16, 50_000);
-    let (status, v) = submit(&mut client, r#"{"app":"sort","config":"ISRF4"}"#);
-    assert_eq!(status, 202, "{}", v.render());
-    let id = v.get("id").and_then(Json::as_u64).unwrap();
-    let result = fetch_result(&mut client, id);
-    let points = result.get("points").and_then(Json::as_arr).unwrap();
-    assert_eq!(points.len(), 1);
-    let (cycles, outs) = point_words(&points[0]);
-    let (want_cycles, want_outs) = direct("sort", ConfigName::Isrf4, Profile::Small);
-    assert_eq!(cycles, want_cycles);
-    assert_eq!(outs, want_outs);
-    server.stop();
+    // A zero chunk is clamped to one-cycle slices.
+    for chunk in [50_000, 0] {
+        let (server, mut client) = start(2, 16, chunk);
+        let (status, v) = submit(&mut client, r#"{"app":"sort","config":"ISRF4"}"#);
+        assert_eq!(status, 202, "{}", v.render());
+        let id = v.get("id").and_then(Json::as_u64).unwrap();
+        let result = fetch_result(&mut client, id);
+        let points = result.get("points").and_then(Json::as_arr).unwrap();
+        assert_eq!(points.len(), 1);
+        let (cycles, outs) = point_words(&points[0]);
+        let (want_cycles, want_outs) = direct("sort", ConfigName::Isrf4, Profile::Small);
+        assert_eq!(cycles, want_cycles);
+        assert_eq!(outs, want_outs);
+        server.stop();
+    }
 }
 
 #[test]

@@ -437,15 +437,12 @@ impl KernelRun {
                 self.ctxs.clear();
                 let ctx_words = self.kernel.ops.len() * self.lanes;
                 for _ in 0..n_ctxs {
-                    let len = d.usize()?;
-                    if len != ctx_words {
+                    let ctx = d.u32s()?;
+                    if ctx.len() != ctx_words {
                         return Err(SnapError::Mismatch(format!(
-                            "iteration context holds {len} words, expected {ctx_words}"
+                            "iteration context holds {} words, expected {ctx_words}",
+                            ctx.len()
                         )));
-                    }
-                    let mut ctx = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        ctx.push(d.u32()?);
                     }
                     self.ctxs.push_back(ctx);
                 }

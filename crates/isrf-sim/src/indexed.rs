@@ -317,14 +317,7 @@ impl IdxState {
                 let data = match d.u8()? {
                     0 => IdxData::None,
                     1 => IdxData::One(d.u32()?),
-                    2 => {
-                        let len = d.usize()?;
-                        let mut v = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            v.push(d.u32()?);
-                        }
-                        IdxData::Many(v)
-                    }
+                    2 => IdxData::Many(d.u32s()?),
                     t => return Err(SnapError::Mismatch(format!("unknown IdxData tag {t}"))),
                 };
                 lane.addr_fifo.push_back(IdxReq { record, data });

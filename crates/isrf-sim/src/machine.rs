@@ -40,7 +40,7 @@ struct PendingTransfer {
 }
 
 /// Sequencer loop state of an in-flight program run, parked on the machine
-/// between [`Machine::run_for`] slices. Structures derivable from the
+/// between [`Machine::run_until`] slices. Structures derivable from the
 /// program alone (dependents lists, the kernel index list, the port block
 /// size) are rebuilt on every slice instead of being stored.
 #[derive(Debug)]
@@ -97,7 +97,7 @@ pub struct Machine {
     filled: Vec<(u32, u32)>,
     /// Kernel execution engine installed on every dispatched run.
     engine: ExecEngine,
-    /// Loop state of a program paused mid-run by [`Machine::run_for`].
+    /// Loop state of a program paused mid-run by [`Machine::run_until`].
     active: Option<RunState>,
     /// Per-machine tape memo keyed by `(kernel, schedule)` Arc identity,
     /// skipping the content-hash lookup on repeat dispatches. The Arcs
@@ -453,25 +453,21 @@ impl Machine {
             }
             ProgOp::Kernel { .. } => unreachable!("kernels dispatch on the sequencer"),
         };
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                self.now,
-                TraceEvent::TransferStart {
-                    op: i as u32,
-                    id: id.raw(),
-                    words,
-                    write,
-                    cacheable,
-                },
-            );
-        }
+        self.tracer.emit(
+            self.now,
+            TraceEvent::TransferStart {
+                op: i as u32,
+                id: id.raw(),
+                words,
+                write,
+                cacheable,
+            },
+        );
     }
 
     /// Execute `program` to completion; returns the stats for this run.
-    ///
-    /// When a verifier is installed, debug builds verify first and
-    /// verification failures panic with the full diagnostic list — use
-    /// [`Machine::run_checked`] to get them as a typed error instead.
+    /// Shorthand for an unbounded [`Machine::run_until`] that panics with
+    /// the verifier's full diagnostic list instead of returning it.
     ///
     /// # Panics
     ///
@@ -479,98 +475,19 @@ impl Machine {
     /// built with [`StreamProgram`]'s checked constructors cannot — or
     /// fails verification.
     pub fn run(&mut self, program: &StreamProgram) -> RunStats {
-        self.run_checked(program).unwrap_or_else(|e| panic!("{e}"))
+        self.run_until(program, u64::MAX)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("an unbounded run completes")
     }
 
-    /// Like [`Machine::run`], but verification failures come back as a
-    /// typed [`VerifyError`] instead of a panic. The verifier runs once,
-    /// before the first simulated cycle, in debug builds only; simulation
-    /// itself is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The verifier's diagnostics, in a debug build when the program is
-    /// not clean.
-    pub fn run_checked(&mut self, program: &StreamProgram) -> Result<RunStats, VerifyError> {
-        if self.active.is_none() && self.verifier.is_some() && cfg!(debug_assertions) {
-            self.verify_program(program)?;
-        }
-        let stats = self
-            .run_budget(program, u64::MAX)
-            .expect("unbounded run completes");
-        self.note_program_fills(program);
-        Ok(stats)
-    }
-
-    /// Run `program` for at most `max_cycles` machine cycles, pausing the
-    /// sequencer in place when the budget runs out.
-    ///
-    /// Returns `Some(stats)` when the program completed within the budget
-    /// (the run's stats delta, exactly as [`Machine::run`] would have
-    /// returned), or `None` when it paused; call `run_for` (or
-    /// [`Machine::run`]) again **with the same program** to continue. A
-    /// paused-and-resumed run is byte-identical — stats, traces, memory —
-    /// to an uninterrupted one. Snapshot the paused machine with
-    /// [`Machine::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::run`]: verification failures (checked only when
-    /// starting fresh, not when resuming) and deadlock panic.
-    pub fn run_for(&mut self, program: &StreamProgram, max_cycles: u64) -> Option<RunStats> {
-        if self.active.is_none() && self.verifier.is_some() && cfg!(debug_assertions) {
-            self.verify_program(program)
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
-        let stats = self.run_budget(program, max_cycles);
-        if stats.is_some() {
-            self.note_program_fills(program);
-        }
-        stats
-    }
-
-    /// True while a [`Machine::run_for`] slice has left a program paused
+    /// True while a [`Machine::run_until`] slice has left a program paused
     /// mid-run on this machine.
     pub fn mid_run(&self) -> bool {
         self.active.is_some()
     }
 
-    /// Run `program` in slices of `chunk` cycles while `keep_going`
-    /// approves, pausing in place the first time it declines.
-    ///
-    /// The job-facing run API: a long-running service executes each job in
-    /// bounded slices and polls a cancellation/drain flag between them, so
-    /// a pause lands on an exact cycle boundary and the paused machine can
-    /// be snapshotted with [`Machine::save_state`] (or resumed later by
-    /// calling `run_while` / [`Machine::run_for`] again with the same
-    /// program). Returns `Some(stats)` when the program completed, `None`
-    /// when paused. `keep_going` is consulted before every slice,
-    /// including the first — so an already-cancelled job never simulates a
-    /// cycle — and a paused-and-resumed run remains byte-identical to an
-    /// uninterrupted one.
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::run_for`]; additionally if `chunk` is zero.
-    pub fn run_while(
-        &mut self,
-        program: &StreamProgram,
-        chunk: u64,
-        mut keep_going: impl FnMut(&Machine) -> bool,
-    ) -> Option<RunStats> {
-        assert!(chunk > 0, "run_while needs a nonzero slice");
-        loop {
-            if !keep_going(self) {
-                return None;
-            }
-            if let Some(stats) = self.run_for(program, chunk) {
-                return Some(stats);
-            }
-        }
-    }
-
     /// Serialize the machine's complete dynamic architectural state —
-    /// including a program paused by [`Machine::run_for`] — into the
+    /// including a program paused by [`Machine::run_until`] — into the
     /// versioned, content-hashed snapshot frame (DESIGN.md §12).
     ///
     /// The snapshot captures everything the simulation reads: cycle
@@ -794,12 +711,7 @@ impl Machine {
             let op = pd.usize()?;
             let fill = if pd.bool()? {
                 let b = decode_binding(&mut pd)?;
-                let len = pd.usize()?;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(pd.u32()?);
-                }
-                Some((b, data))
+                Some((b, pd.u32s()?))
             } else {
                 None
             };
@@ -833,7 +745,7 @@ impl Machine {
                 pending_deps.push(rn.u32()?);
             }
             let n_ready = rn.usize()?;
-            let mut ready_mem = Vec::with_capacity(n_ready);
+            let mut ready_mem = Vec::new();
             for _ in 0..n_ready {
                 ready_mem.push(rn.usize()?);
             }
@@ -900,7 +812,34 @@ impl Machine {
         Ok(())
     }
 
-    fn run_budget(&mut self, program: &StreamProgram, budget: u64) -> Option<RunStats> {
+    /// Run `program` for at most `budget` machine cycles, pausing the
+    /// sequencer in place when the budget runs out.
+    ///
+    /// Returns `Ok(Some(stats))` when the program completed within the
+    /// budget (the run's stats delta), or `Ok(None)` when it paused; call
+    /// `run_until` (or [`Machine::run`]) again **with the same program** to
+    /// continue. A paused-and-resumed run is byte-identical — stats,
+    /// traces, memory — to an uninterrupted one. Snapshot the paused
+    /// machine with [`Machine::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// The installed verifier's diagnostics when the program is not clean.
+    /// The verifier runs once, before the first simulated cycle of a fresh
+    /// run (not on resume), in debug builds only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program deadlocks, or if a paused run is resumed with
+    /// a different program.
+    pub fn run_until(
+        &mut self,
+        program: &StreamProgram,
+        budget: u64,
+    ) -> Result<Option<RunStats>, VerifyError> {
+        if self.active.is_none() && self.verifier.is_some() && cfg!(debug_assertions) {
+            self.verify_program(program)?;
+        }
         let n = program.len();
         // Program-derived structures, rebuilt on every slice (cheap, and
         // identical across pause/resume since the program is unchanged):
@@ -951,7 +890,7 @@ impl Machine {
         while rs.completed < n {
             if used >= budget {
                 self.active = Some(rs);
-                return None;
+                return Ok(None);
             }
             // Start ready memory ops (ascending op order, matching the
             // program scan this replaces).
@@ -1023,15 +962,9 @@ impl Machine {
                 if let Some(t) = self.mem.next_completion_time() {
                     let skip = t.saturating_sub(self.now + 1).min(budget - used - 1);
                     if skip > 0 {
-                        if self.tracer.enabled() {
-                            for c in 1..=skip {
-                                self.tracer
-                                    .emit(self.now + c, TraceEvent::Cycle(CycleAttr::MemStall));
-                            }
-                        }
                         self.mem.advance_idle(skip);
                         self.now += skip;
-                        self.stats.breakdown.mem_stall += skip;
+                        self.attribute(CycleAttr::MemStall, skip);
                         self.stats.cycles += skip;
                         used += skip;
                     }
@@ -1046,9 +979,7 @@ impl Machine {
             self.mem_port_words += self.mem.words_served_last_tick() as f64;
             let mem_claims_port = if self.mem_port_words >= block {
                 self.mem_port_words -= block;
-                if self.tracer.enabled() {
-                    self.tracer.emit(self.now, TraceEvent::PortPreempted);
-                }
+                self.tracer.emit(self.now, TraceEvent::PortPreempted);
                 true
             } else {
                 false
@@ -1080,26 +1011,20 @@ impl Machine {
                     &dependents,
                     &mut rs.ready_mem,
                 );
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::TransferDone {
-                            op: pt.op as u32,
-                            id: id.raw(),
-                        },
-                    );
-                }
+                self.tracer.emit(
+                    self.now,
+                    TraceEvent::TransferDone {
+                        op: pt.op as u32,
+                        id: id.raw(),
+                    },
+                );
             }
 
             // Advance the kernel (or attribute the idle cycle).
             if let Some((ki, run)) = &mut rs.kernel_run {
                 if rs.kernel_dispatch_left > 0 {
                     rs.kernel_dispatch_left -= 1;
-                    self.stats.breakdown.overhead += 1;
-                    if self.tracer.enabled() {
-                        self.tracer
-                            .emit(self.now, TraceEvent::Cycle(CycleAttr::Dispatch));
-                    }
+                    self.attribute(CycleAttr::Dispatch, 1);
                 } else {
                     let phase = run.tick(
                         self.now,
@@ -1111,28 +1036,10 @@ impl Machine {
                         &mut self.tracer,
                     );
                     match phase {
-                        Phase::Advanced | Phase::Stalled => {
-                            self.stats.main_loop_cycles += 1;
-                            if phase == Phase::Stalled {
-                                self.stats.breakdown.srf_stall += 1;
-                            }
-                            // Loop-body vs fill/drain is settled at kernel end.
-                            if self.tracer.enabled() {
-                                let attr = if phase == Phase::Stalled {
-                                    CycleAttr::SrfStall
-                                } else {
-                                    CycleAttr::Advance
-                                };
-                                self.tracer.emit(self.now, TraceEvent::Cycle(attr));
-                            }
-                        }
-                        Phase::Flushing => {
-                            self.stats.breakdown.overhead += 1;
-                            if self.tracer.enabled() {
-                                self.tracer
-                                    .emit(self.now, TraceEvent::Cycle(CycleAttr::Flush));
-                            }
-                        }
+                        // Loop-body vs fill/drain is settled at kernel end.
+                        Phase::Advanced => self.attribute(CycleAttr::Advance, 1),
+                        Phase::Stalled => self.attribute(CycleAttr::SrfStall, 1),
+                        Phase::Flushing => self.attribute(CycleAttr::Flush, 1),
                         Phase::Done => {
                             // Attribute advanced cycles: body = iters*II,
                             // the rest is software-pipeline fill/drain.
@@ -1140,20 +1047,17 @@ impl Machine {
                             self.stats.breakdown.kernel_loop += body;
                             self.stats.breakdown.overhead += run.advance_cycles - body;
                             let i = *ki;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(
-                                    self.now,
-                                    TraceEvent::KernelEnd {
-                                        op: i as u32,
-                                        body_cycles: run.body_cycles(),
-                                        advance_cycles: run.advance_cycles,
-                                        stall_cycles: run.stall_cycles,
-                                        flush_cycles: run.flush_cycles,
-                                    },
-                                );
-                                self.tracer
-                                    .emit(self.now, TraceEvent::Cycle(CycleAttr::KernelFinish));
-                            }
+                            self.tracer.emit(
+                                self.now,
+                                TraceEvent::KernelEnd {
+                                    op: i as u32,
+                                    body_cycles: run.body_cycles(),
+                                    advance_cycles: run.advance_cycles,
+                                    stall_cycles: run.stall_cycles,
+                                    flush_cycles: run.flush_cycles,
+                                },
+                            );
+                            self.attribute(CycleAttr::KernelFinish, 1);
                             complete_op(
                                 i,
                                 program,
@@ -1164,24 +1068,15 @@ impl Machine {
                                 &mut rs.ready_mem,
                             );
                             rs.kernel_run = None;
-                            self.stats.breakdown.overhead += 1; // this cycle
                         }
                     }
                 }
             } else if rs.live_transfers > 0 {
-                self.stats.breakdown.mem_stall += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .emit(self.now, TraceEvent::Cycle(CycleAttr::MemStall));
-                }
+                self.attribute(CycleAttr::MemStall, 1);
             } else if rs.completed < n {
                 // Waiting on nothing measurable (e.g. dependence chains of
                 // zero-length ops); attribute to overhead.
-                self.stats.breakdown.overhead += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .emit(self.now, TraceEvent::Cycle(CycleAttr::Idle));
-                }
+                self.attribute(CycleAttr::Idle, 1);
             }
             self.stats.cycles += 1;
             used += 1;
@@ -1206,7 +1101,33 @@ impl Machine {
         delta.mem.bytes_read -= rs.mem_start.bytes_read;
         delta.mem.bytes_written -= rs.mem_start.bytes_written;
         delta.mem.cache_hit_bytes -= rs.mem_start.cache_hit_bytes;
-        Some(delta)
+        self.note_program_fills(program);
+        Ok(Some(delta))
+    }
+
+    /// Charge the `cycles` ending at `self.now` to `attr`'s Figure-12
+    /// component (`Advance` and `SrfStall` also count as main-loop cycles)
+    /// and emit one `Cycle(attr)` trace event per cycle: the one path that
+    /// keeps the breakdown and the trace stream in step.
+    #[inline]
+    fn attribute(&mut self, attr: CycleAttr, cycles: u64) {
+        let s = &mut self.stats;
+        match attr {
+            CycleAttr::Advance => s.main_loop_cycles += cycles,
+            CycleAttr::SrfStall => {
+                s.main_loop_cycles += cycles;
+                s.breakdown.srf_stall += cycles;
+            }
+            CycleAttr::MemStall => s.breakdown.mem_stall += cycles,
+            CycleAttr::Dispatch | CycleAttr::Flush | CycleAttr::KernelFinish | CycleAttr::Idle => {
+                s.breakdown.overhead += cycles;
+            }
+        }
+        if self.tracer.enabled() {
+            for t in self.now + 1 - cycles..=self.now {
+                self.tracer.emit(t, TraceEvent::Cycle(attr));
+            }
+        }
     }
 }
 

@@ -177,13 +177,13 @@ fn run_paused(
 ) -> Option<Observed> {
     let (mut m, p, words) = prepare(cfg, kernel, iters, engine)?;
     m.set_tracer(Tracer::recording(1 << 16));
-    let Some(stats) = m.run_for(&p, at) else {
+    let Some(stats) = m.run_until(&p, at).unwrap() else {
         let snapshot = m.save_state(&p);
         let mut events = drain_events(&mut m);
         let (mut r, p2, _) = prepare(cfg, kernel, iters, engine).expect("same recipe");
         r.restore_state(&p2, &snapshot).expect("snapshot fits");
         r.set_tracer(Tracer::recording(1 << 16));
-        let stats = r.run_for(&p2, u64::MAX).expect("resumed run completes");
+        let stats = r.run(&p2);
         events.extend(drain_events(&mut r));
         let out = r.mem().memory().read_block(OUT_BASE, words as usize);
         return Some((stats, events, out));

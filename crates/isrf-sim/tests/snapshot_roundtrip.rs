@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_core::snap::SnapError;
+use isrf_core::snap::{self, Enc, SnapError};
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
@@ -102,13 +102,13 @@ fn straight(engine: ExecEngine) -> Observed {
 }
 
 /// Pause after `at` cycles, snapshot, restore into a fresh machine, and
-/// run that to completion. Returns the stitched observation plus the
-/// snapshot bytes.
+/// finish that with [`Machine::run`]. Returns the stitched observation
+/// plus the snapshot bytes.
 fn paused(engine: ExecEngine, at: u64) -> (Observed, Vec<u8>) {
     let (mut m, p) = build_point(engine);
     m.set_tracer(Tracer::recording(1 << 20));
     assert!(
-        m.run_for(&p, at).is_none(),
+        m.run_until(&p, at).unwrap().is_none(),
         "run completed before cycle {at}"
     );
     assert!(m.mid_run());
@@ -119,7 +119,7 @@ fn paused(engine: ExecEngine, at: u64) -> (Observed, Vec<u8>) {
     r.restore_state(&p2, &snapshot).unwrap();
     assert!(r.mid_run());
     r.set_tracer(Tracer::recording(1 << 20));
-    let stats = r.run_for(&p2, u64::MAX).expect("resumed run completes");
+    let stats = r.run(&p2);
     events.extend(drain_events(&mut r));
     let output = r.mem().memory().read_block(OUT_BASE, OUT_WORDS as usize);
     (
@@ -161,9 +161,9 @@ fn snapshot_resume_matches_uninterrupted_run() {
 }
 
 #[test]
-fn run_for_with_enough_budget_completes() {
+fn run_until_with_enough_budget_completes() {
     let (mut m, p) = build_point(ExecEngine::Tape);
-    let stats = m.run_for(&p, u64::MAX).expect("completes");
+    let stats = m.run_until(&p, u64::MAX).unwrap().expect("completes");
     assert!(!m.mid_run());
     assert_eq!(stats, straight(ExecEngine::Tape).stats);
 }
@@ -182,15 +182,15 @@ fn reserialized_snapshot_is_byte_identical() {
 fn snapshots_of_identical_state_are_byte_identical() {
     let (mut a, pa) = build_point(ExecEngine::Tape);
     let (mut b, pb) = build_point(ExecEngine::Tape);
-    assert!(a.run_for(&pa, 33).is_none());
-    assert!(b.run_for(&pb, 33).is_none());
+    assert!(a.run_until(&pa, 33).unwrap().is_none());
+    assert!(b.run_until(&pb, 33).unwrap().is_none());
     assert_eq!(a.save_state(&pa), b.save_state(&pb));
 }
 
 #[test]
 fn diff_localizes_a_perturbed_bank_word() {
     let (mut a, pa) = build_point(ExecEngine::Tape);
-    assert!(a.run_for(&pa, 40).is_none());
+    assert!(a.run_until(&pa, 40).unwrap().is_none());
     let clean = a.save_state(&pa);
     let w = a.srf().read(3, 7);
     a.srf_mut().write(3, 7, w ^ 0x1);
@@ -203,7 +203,7 @@ fn diff_localizes_a_perturbed_bank_word() {
 #[test]
 fn restore_rejects_wrong_program_and_config() {
     let (mut m, p) = build_point(ExecEngine::Tape);
-    assert!(m.run_for(&p, 20).is_none());
+    assert!(m.run_until(&p, 20).unwrap().is_none());
     let snapshot = m.save_state(&p);
 
     // Same machine, structurally different program.
@@ -227,7 +227,7 @@ fn restore_rejects_wrong_program_and_config() {
 #[test]
 fn restore_rejects_unknown_version_and_corruption() {
     let (mut m, p) = build_point(ExecEngine::Tape);
-    assert!(m.run_for(&p, 20).is_none());
+    assert!(m.run_until(&p, 20).unwrap().is_none());
     let snapshot = m.save_state(&p);
 
     let mut wrong_version = snapshot.clone();
@@ -241,4 +241,36 @@ fn restore_rejects_unknown_version_and_corruption() {
     let mut flipped = snapshot.clone();
     flipped[40] ^= 0x40;
     assert_eq!(m.restore_state(&p, &flipped), Err(SnapError::BadHash));
+}
+
+/// A re-framed snapshot (valid magic, version and hash) whose in-flight
+/// load claims a fill far longer than its section holds is rejected
+/// before anything is allocated.
+#[test]
+fn restore_rejects_a_crafted_pending_fill_length() {
+    let (mut m, p) = build_point(ExecEngine::Tape);
+    assert!(m.run_until(&p, 1).unwrap().is_none());
+    let snapshot = m.save_state(&p);
+    let mut sections = snap::read_sections(snap::unframe(&snapshot).unwrap()).unwrap();
+    let pending = &mut sections
+        .iter_mut()
+        .find(|s| s.name == "pending")
+        .unwrap()
+        .bytes;
+
+    // Slab layout: slot count, then slot 0 (the LUT load) as live flag,
+    // op, fill flag, seven-word binding and the fill length.
+    let len_at = 8 + 1 + 8 + 1 + 7 * 4;
+    assert_eq!(pending[len_at..len_at + 8], (256u64 * 8).to_le_bytes());
+    pending[len_at..len_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+
+    let mut payload = Enc::new();
+    let named: Vec<_> = sections.iter().map(|s| (&s.name, &s.bytes)).collect();
+    snap::write_sections(&mut payload, &named);
+    let crafted = snap::frame(&payload.into_bytes());
+    let (mut r, p2) = build_point(ExecEngine::Tape);
+    assert_eq!(
+        r.restore_state(&p2, &crafted),
+        Err(SnapError::UnexpectedEof)
+    );
 }

@@ -541,8 +541,8 @@ fn machine_hook_rejects_before_simulation() {
     let err = m.verify_program(&p).expect_err("program is ill-formed");
     assert_eq!(err.diagnostics[0].code, codes::UNFILLED_READ);
     if cfg!(debug_assertions) {
-        // Debug builds reject it at run time too.
-        let err2 = m.run_checked(&p).expect_err("verifier runs in debug");
+        // Debug builds reject it at run time too, even on a bounded slice.
+        let err2 = m.run_until(&p, 1).expect_err("verifier runs in debug");
         assert_eq!(err2.diagnostics, err.diagnostics);
     }
 }
